@@ -59,19 +59,6 @@ class PiecewiseLinear:
         y = np.asarray(self.values)
         return tuple(np.diff(y) / np.diff(k))
 
-    def integral(self) -> float:
-        k = np.asarray(self.knots)
-        y = np.asarray(self.values)
-        return float(np.sum((y[:-1] + y[1:]) / 2.0 * np.diff(k)))
-
-    def minus(self, other: PiecewiseLinear) -> PiecewiseLinear:
-        if self.knots == other.knots:
-            knots = self.knots
-        else:
-            knots = tuple(sorted(set(self.knots) | set(other.knots)))
-        vals = tuple(float(self(x)) - float(other(x)) for x in knots)
-        return PiecewiseLinear(knots=knots, values=vals)
-
 
 @dataclass(frozen=True)
 class ConditionalEV:
@@ -100,11 +87,11 @@ def _sign_weighted_sum(x: np.ndarray, y: np.ndarray) -> float:
     above = y.sum() - below - y
     return float(np.dot(x, below - above))
 
-def expected_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> PayoffValue:
-    """Exact expected net payoff to player 1 under the continuous card model."""
-    _require_continuous(cfg)
-    a, b = float(cfg.high_bet), float(cfg.low_bet)
-    knots, h1, h2 = _common_grid(s1, s2)
+
+def _payoff_terms(
+    a: float, b: float, knots: np.ndarray, h1: np.ndarray, h2: np.ndarray
+) -> PayoffValue:
+    """Expected payoff of curve ``h1`` vs ``h2``, both given per piece of ``knots``."""
     lengths = np.diff(knots)
     w1h, w1l = lengths * h1, lengths * (1.0 - h1)
     w2h, w2l = lengths * h2, lengths * (1.0 - h2)
@@ -113,6 +100,29 @@ def expected_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> PayoffValue:
     lh = -b * float(w1l.sum()) * float(w2h.sum())
     ll = b * _sign_weighted_sum(w1l, w2l)
     return PayoffValue(value=hh + hl + lh + ll, hh=hh, hl=hl, lh=lh, ll=ll)
+
+
+def expected_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> PayoffValue:
+    """Exact expected net payoff to player 1 under the continuous card model."""
+    _require_continuous(cfg)
+    return _payoff_terms(float(cfg.high_bet), float(cfg.low_bet), *_common_grid(s1, s2))
+
+
+def _ev_arrays(
+    a: float, b: float, knots: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ev_high, ev_low) at ``knots`` against the per-piece High curve ``h``."""
+    lengths = np.diff(knots)
+    mass_high = lengths * h
+    mass_low = lengths * (1.0 - h)
+    total_high = float(mass_high.sum())
+    total_low = float(mass_low.sum())
+    # Cumulative opponent mass strictly below each knot.
+    below_high = np.concatenate(([0.0], np.cumsum(mass_high)))
+    below_low = np.concatenate(([0.0], np.cumsum(mass_low)))
+    ev_high = b * total_low + a * (2.0 * below_high - total_high)
+    ev_low = -b * total_high + b * (2.0 * below_low - total_low)
+    return ev_high, ev_low
 
 
 def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
@@ -127,19 +137,10 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
     h, their difference has slope 2a h - 2b (1-h).
     """
     _require_continuous(cfg)
-    a, b = float(cfg.high_bet), float(cfg.low_bet)
     knots = np.array((0.0, *opponent.breakpoints, 1.0))
-    h = np.array(opponent.high_prob)
-    lengths = np.diff(knots)
-    mass_high = lengths * h
-    mass_low = lengths * (1.0 - h)
-    total_high = float(mass_high.sum())
-    total_low = float(mass_low.sum())
-    # Cumulative opponent mass strictly below each knot.
-    below_high = np.concatenate(([0.0], np.cumsum(mass_high)))
-    below_low = np.concatenate(([0.0], np.cumsum(mass_low)))
-    ev_high = b * total_low + a * (2.0 * below_high - total_high)
-    ev_low = -b * total_high + b * (2.0 * below_low - total_low)
+    ev_high, ev_low = _ev_arrays(
+        float(cfg.high_bet), float(cfg.low_bet), knots, np.array(opponent.high_prob)
+    )
     knots_t = tuple(float(x) for x in knots)
     return ConditionalEV(
         ev_high=PiecewiseLinear(knots_t, tuple(float(x) for x in ev_high)),

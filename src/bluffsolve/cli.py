@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -132,6 +133,15 @@ def _default_seed(value: int | None) -> int:
         return int(env)
     except ValueError:
         raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
+
+
+def _check_solver_options(args: argparse.Namespace) -> None:
+    if args.bins < 2:
+        raise UsageError(f"--bins needs at least 2 bins, got {args.bins}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise UsageError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -319,6 +329,7 @@ def _cmd_exploit(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    _check_solver_options(args)
     result = solver.fictitious_play(
         cfg, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
     )
@@ -354,6 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--ratios must list at least one ratio")
     if any(r <= 1.0 for r in ratios):
         raise UsageError("every ratio must exceed 1")
+    _check_solver_options(args)
     rows = solver.ratio_sweep(
         ratios, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
     )

@@ -14,21 +14,39 @@ strategies that differ only on indifference regions, the solver additionally
 polishes its incumbent with per-bin golden-section descent on the (convex)
 exploitability whenever plain averaging stalls; the result it reports is the
 best strategy found, certified by the exploitability operation itself.
+
+The fictitious-play loop and the polish work on the bin curve as a numpy
+array, and a ``Strategy`` is built only for the result. Each running average
+gets one best response: its value is the average's exploitability and its
+action rule feeds the next averaging step. The public ``best_response`` and
+``exploitability`` take and return ``Strategy`` objects and run the same EV,
+action-rule, grid-merge and payoff kernels, so they certify the solver's
+figures bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import closed_form_equilibrium, conditional_evs, expected_payoff
+from .analytic import (
+    _ev_arrays,
+    _payoff_terms,
+    closed_form_equilibrium,
+    conditional_evs,
+    expected_payoff,
+)
 from .engine import GameConfig
-from .strategy import Strategy
+from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+#: A 0/1 action rule as arrays: breakpoints, and the High value per piece.
+_Rule = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,33 +83,29 @@ class RatioSweepRow:
     converged: bool
 
 
+def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
+    """Pointwise argmax of the piecewise-linear EV gap ``d`` (ties bet High)."""
+    # A piece whose ends differ in sign holds one root; rounding may put it
+    # on a knot, and then it adds no cut. Keep the root's operation order:
+    # the solver's outputs are pinned bit for bit.
+    k0, k1, d0, d1 = knots[:-1], knots[1:], d[:-1], d[1:]
+    crossing = np.flatnonzero(d0 * d1 < 0.0)
+    k0, k1, d0, d1 = k0[crossing], k1[crossing], d0[crossing], d1[crossing]
+    roots = k0 + (k1 - k0) * d0 / (d0 - d1)
+    cuts = np.sort(np.concatenate((knots, roots[(k0 < roots) & (roots < k1)])))
+
+    # Classify each cell by the difference at its midpoint; ties go High.
+    actions = np.interp((cuts[:-1] + cuts[1:]) / 2.0, knots, d) >= 0.0
+    changes = np.flatnonzero(actions[1:] != actions[:-1]) + 1
+    return cuts[changes], actions[np.concatenate(([0], changes))].astype(float)
+
+
 def best_response(cfg: GameConfig, opponent: Strategy) -> BestResponse:
     """Exact pure best response against a fixed opponent (ties bet High)."""
     evs = conditional_evs(cfg, opponent)
-    knots = np.asarray(evs.ev_high.knots)
     d = np.asarray(evs.ev_high.values) - np.asarray(evs.ev_low.values)
-
-    cuts = set(float(x) for x in knots)
-    for i in range(len(knots) - 1):
-        d0, d1 = d[i], d[i + 1]
-        if d0 * d1 < 0.0:
-            r = knots[i] + (knots[i + 1] - knots[i]) * d0 / (d0 - d1)
-            if knots[i] < r < knots[i + 1]:
-                cuts.add(float(r))
-    xs = sorted(cuts)
-
-    # Classify each cell by the difference at its midpoint; ties go High.
-    mids = (np.asarray(xs[:-1]) + np.asarray(xs[1:])) / 2.0
-    d_mid = np.interp(mids, knots, d)
-    actions = d_mid >= 0.0
-
-    breakpoints: list[float] = []
-    high: list[float] = [1.0 if actions[0] else 0.0]
-    for x, act in zip(xs[1:-1], actions[1:]):
-        if bool(act) != (high[-1] == 1.0):
-            breakpoints.append(x)
-            high.append(1.0 if act else 0.0)
-    rule = Strategy(breakpoints=tuple(breakpoints), high_prob=tuple(high))
+    breakpoints, high = _action_rule(np.asarray(evs.ev_high.knots), d)
+    rule = Strategy(breakpoints=tuple(breakpoints.tolist()), high_prob=tuple(high.tolist()))
     value = expected_payoff(cfg, rule, opponent).value
     return BestResponse(action_rule=rule, value=value)
 
@@ -105,16 +119,35 @@ def _bin_edges(bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, bins + 1)
 
 
-def _binned(interior: tuple[float, ...], h: np.ndarray) -> Strategy:
-    return Strategy(breakpoints=interior, high_prob=tuple(float(x) for x in h))
+def _binned_response(
+    a: float, b: float, edges: np.ndarray, h: np.ndarray
+) -> tuple[_Rule, float]:
+    """Best response to the curve ``h`` on bins ``edges``: (rule arrays, value).
+
+    Runs the kernels of ``best_response(cfg, Strategy(edges[1:-1], h))`` on
+    the same grids, so rule and value equal that call's exactly.
+    """
+    ev_high, ev_low = _ev_arrays(a, b, edges, h)
+    breakpoints, high = _action_rule(edges, ev_high - ev_low)
+    interior = edges[1:-1]
+    grid = merge_breakpoints(breakpoints, interior)
+    payoff = _payoff_terms(
+        a,
+        b,
+        np.concatenate(([0.0], grid, [1.0])),
+        probabilities_on(breakpoints, high, grid),
+        probabilities_on(interior, h, grid),
+    )
+    return (breakpoints, high), payoff.value
 
 
-def _bin_high_fraction(rule: Strategy, edges: np.ndarray) -> np.ndarray:
+def _bin_high_fraction(rule: _Rule, edges: np.ndarray) -> np.ndarray:
     """Measure of each bin on which a 0/1 action rule bets High, as a fraction."""
+    breakpoints, high = rule
     bins = len(edges) - 1
     out = np.zeros(bins)
-    pieces = (0.0, *rule.breakpoints, 1.0)
-    for lo, hi, val in zip(pieces[:-1], pieces[1:], rule.high_prob):
+    pieces = (0.0, *breakpoints, 1.0)
+    for lo, hi, val in zip(pieces[:-1], pieces[1:], high):
         if val == 0.0:
             continue
         overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
@@ -142,8 +175,7 @@ def _golden_min(f: Callable[[float], float], tol: float = 1e-13) -> tuple[float,
 
 
 def _polish(
-    cfg: GameConfig,
-    interior: tuple[float, ...],
+    respond: Callable[[np.ndarray], tuple[_Rule, float]],
     h: np.ndarray,
     best_value: float,
     epsilon: float,
@@ -158,7 +190,7 @@ def _polish(
             def objective(x: float, _i: int = i) -> float:
                 trial = h.copy()
                 trial[_i] = x
-                return exploitability(cfg, _binned(interior, trial))
+                return respond(trial)[1]
 
             x, fx = _golden_min(objective)
             if fx < best_value:
@@ -190,17 +222,19 @@ def fictitious_play(
         raise ValueError("fictitious play runs on the continuous card model")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     edges = _bin_edges(bins)
-    interior = tuple(float(x) for x in edges[1:-1])
+    respond = functools.partial(
+        _binned_response, float(cfg.high_bet), float(cfg.low_bet), edges
+    )
     h = np.full(bins, 0.5)
-    avg = _binned(interior, h)
+    rule, best_value = respond(h)
 
-    best_h, best_value = h.copy(), exploitability(cfg, avg)
+    best_h = h.copy()
     last_value = best_value
     trace: list[tuple[int, float, float]] = [(0, best_value, best_value)]
     iterations = 0
@@ -213,11 +247,8 @@ def fictitious_play(
     if best_value > epsilon:
         for n in range(1, max_iters + 1):
             iterations = n
-            response = best_response(cfg, avg)
-            fraction = _bin_high_fraction(response.action_rule, edges)
-            h = (n * h + fraction) / (n + 1)
-            avg = _binned(interior, h)
-            last_value = exploitability(cfg, avg)
+            h = (n * h + _bin_high_fraction(rule, edges)) / (n + 1)
+            rule, last_value = respond(h)
             if last_value < best_value:
                 if last_value < best_value * 0.99:
                     last_improvement = n
@@ -230,18 +261,20 @@ def fictitious_play(
             if n - last_improvement >= stall_window and polish_budget > 0:
                 polish_budget -= 1
                 last_improvement = n
-                best_h, best_value = _polish(cfg, interior, best_h, best_value, epsilon)
+                best_h, best_value = _polish(respond, best_h, best_value, epsilon)
                 if best_value <= epsilon:
                     break
 
     if best_value > epsilon and polish_budget > 0:
-        best_h, best_value = _polish(cfg, interior, best_h, best_value, epsilon)
+        best_h, best_value = _polish(respond, best_h, best_value, epsilon)
 
     if trace and trace[-1][0] == iterations:
         trace.pop()
     trace.append((iterations, last_value, best_value))
     return EquilibriumResult(
-        strategy=_binned(interior, best_h),
+        strategy=Strategy(
+            breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
+        ),
         exploitability=best_value,
         iterations=iterations,
         bin_count=bins,

@@ -130,6 +130,30 @@ def threshold_mix(threshold: float, bluff: float) -> Strategy:
     return Strategy(breakpoints=(threshold,), high_prob=(bluff, 1.0))
 
 
+def merge_breakpoints(x, y) -> np.ndarray:
+    """Sorted union of two breakpoint lists, each value once.
+
+    Sort plus a duplicate mask: ``np.union1d``/``np.unique`` would import
+    ``numpy.ma`` on first use, which costs every CLI process memory.
+    """
+    merged = np.sort(np.concatenate((np.asarray(x, dtype=float), np.asarray(y, dtype=float))))
+    keep = np.ones(len(merged), dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    return merged[keep]
+
+
+def probabilities_on(breakpoints, high_prob, grid: np.ndarray) -> np.ndarray:
+    """High probability of each piece of ``grid`` (a breakpoint superset).
+
+    Piece i of the grid starts at ``(0.0, *grid)[i]``; a right-continuous
+    curve plays there the piece found by a right-sided bisection, exactly as
+    ``Strategy.high_probability`` does.
+    """
+    starts = np.concatenate(([0.0], grid))
+    pieces = np.searchsorted(np.asarray(breakpoints, dtype=float), starts, side="right")
+    return np.asarray(high_prob, dtype=float)[pieces]
+
+
 def refine(s1: Strategy, s2: Strategy) -> tuple[Strategy, Strategy]:
     """Re-express both strategies on the union of their breakpoints.
 
@@ -137,13 +161,13 @@ def refine(s1: Strategy, s2: Strategy) -> tuple[Strategy, Strategy]:
     and share an identical breakpoint list, which makes pairwise integration
     a walk over a common grid.
     """
-    merged = tuple(sorted(set(s1.breakpoints) | set(s2.breakpoints)))
+    merged = merge_breakpoints(s1.breakpoints, s2.breakpoints)
+    breakpoints = tuple(merged.tolist())
 
     def expand(s: Strategy) -> Strategy:
-        starts = (0.0, *merged)
         return Strategy(
-            breakpoints=merged,
-            high_prob=tuple(s.high_probability(x) for x in starts),
+            breakpoints=breakpoints,
+            high_prob=tuple(probabilities_on(s.breakpoints, s.high_prob, merged).tolist()),
         )
 
     return expand(s1), expand(s2)

@@ -168,6 +168,27 @@ class TestSolveCommand:
         assert "not converged" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--bins", "1"],
+        ["solve", "--max-iters", "0"],
+        ["solve", "--epsilon", "0"],
+        ["solve", "--epsilon", "nan"],
+        ["solve", "--epsilon", "inf"],
+        ["sweep", "--ratios", "2", "--bins", "1"],
+        ["sweep", "--ratios", "2", "--epsilon", "-1"],
+        ["sweep", "--ratios", "2", "--max-iters", "0"],
+    ],
+)
+def test_bad_solver_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+    assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_csv_output(self, capsys):
         code, out, _ = run(

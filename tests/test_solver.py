@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bluffsolve.analytic import closed_form_equilibrium, expected_payoff
+from bluffsolve import solver
+from bluffsolve.analytic import _ev_arrays, closed_form_equilibrium, expected_payoff
 from bluffsolve.engine import GameConfig
 from bluffsolve.montecarlo import simulate
 from bluffsolve.solver import best_response, exploitability, fictitious_play, ratio_sweep
@@ -54,6 +55,43 @@ class TestBestResponse:
         for _ in range(10):
             rule = best_response(CFG, random_strategy(rng)).action_rule
             assert set(rule.high_prob) <= {0.0, 1.0}
+
+
+class TestBinnedResponse:
+    """The solver's array response is the public best response, bit for bit."""
+
+    @staticmethod
+    def assert_matches_public(cfg, h):
+        edges = solver._bin_edges(len(h))
+        (breakpoints, high), value = solver._binned_response(
+            float(cfg.high_bet), float(cfg.low_bet), edges, h
+        )
+        public = best_response(cfg, Strategy(tuple(edges[1:-1].tolist()), tuple(h.tolist())))
+        assert tuple(breakpoints.tolist()) == public.action_rule.breakpoints
+        assert tuple(high.tolist()) == public.action_rule.high_prob
+        assert value == public.value
+
+    @pytest.mark.parametrize("bins", [2, 16, 200])
+    def test_random_curves(self, bins):
+        rng = np.random.default_rng(bins)
+        for ratio in (1.5, 2.0, 3.0):
+            for _ in range(5):
+                self.assert_matches_public(GameConfig(Fraction(ratio), 1), rng.random(bins))
+
+    @pytest.mark.parametrize("bins", [2, 16, 200])
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    def test_pure_curves(self, bins, fill):
+        self.assert_matches_public(CFG, np.full(bins, fill))
+
+    @pytest.mark.parametrize("bins", [2, 16, 200])
+    def test_exact_gap_zeros_at_knots(self, bins):
+        # h = p* below t* = 1/2: the EV gap vanishes on [0, t*], and in floats
+        # exactly at some knots, where the tie rule decides the action.
+        edges = solver._bin_edges(bins)
+        h = np.where(edges[:-1] < 0.5, 1 / 3, 1.0)
+        ev_high, ev_low = _ev_arrays(2.0, 1.0, edges, h)
+        assert np.any(ev_high == ev_low)
+        self.assert_matches_public(CFG, h)
 
 
 class TestExploitability:
@@ -142,9 +180,24 @@ class TestFictitiousPlay:
 
     def test_result_strategy_matches_reported_exploitability(self):
         result = fictitious_play(CFG, bins=16, epsilon=1e-4, max_iters=800)
-        assert exploitability(CFG, result.strategy) == pytest.approx(
-            result.exploitability, abs=1e-12
-        )
+        assert exploitability(CFG, result.strategy) == result.exploitability
+
+    def test_stall_window_polish_is_certified(self, monkeypatch):
+        polish = solver._polish
+        results = []
+
+        def recording_polish(*args, **kwargs):
+            results.append(polish(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "_polish", recording_polish)
+        bins = 8
+        fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=600)
+        # At most one call is the final polish; the rest fired on a stall.
+        assert len(results) >= 2
+        interior = tuple(solver._bin_edges(bins)[1:-1].tolist())
+        for h, value in results:
+            assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
 
     def test_non_convergence_is_reported_not_raised(self):
         result = fictitious_play(CFG, bins=200, epsilon=1e-15, max_iters=5)
@@ -157,6 +210,10 @@ class TestFictitiousPlay:
             fictitious_play(CFG, bins=1, epsilon=1e-3)
         with pytest.raises(ValueError):
             fictitious_play(CFG, bins=10, epsilon=0.0)
+        with pytest.raises(ValueError):
+            fictitious_play(CFG, bins=10, epsilon=float("nan"))
+        with pytest.raises(ValueError):
+            fictitious_play(CFG, bins=10, epsilon=1e-3, max_iters=0)
         with pytest.raises(ValueError):
             fictitious_play(GameConfig(2, 1, deck_size=5), bins=10, epsilon=1e-3)
 

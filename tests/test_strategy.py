@@ -104,6 +104,25 @@ def test_refine_preserves_semantics():
         assert r2.high_probability(v) == s2.high_probability(v)
 
 
+def test_refine_matches_pointwise_lookup_on_shared_breakpoints():
+    # Breakpoints from one lattice coincide between the two strategies, and
+    # every merged breakpoint is a card exactly on a piece boundary.
+    rng = np.random.default_rng(2)
+    lattice = [i / 20 for i in range(1, 20)]
+    for _ in range(50):
+        s1, s2 = (
+            Strategy(
+                breakpoints=tuple(sorted(rng.choice(lattice, size=k, replace=False))),
+                high_prob=tuple(rng.random(k + 1)),
+            )
+            for k in rng.integers(0, 8, size=2)
+        )
+        merged = tuple(sorted(set(s1.breakpoints) | set(s2.breakpoints)))
+        for s, r in zip((s1, s2), refine(s1, s2)):
+            assert r.breakpoints == merged
+            assert r.high_prob == tuple(s.high_probability(x) for x in (0.0, *merged))
+
+
 def test_json_round_trip():
     sigma = threshold_mix(0.5, 0.3333)
     text = sigma.to_json()
