@@ -1,7 +1,8 @@
 """Workbench for a two-player, one-round, two-action sealed-bid poker game.
 
-Exact expected payoffs, best responses and exploitability, fictitious-play
-equilibrium solving, and seeded Monte Carlo / exact finite-deck verification.
+Exact expected payoffs, best responses and exploitability, a certified
+binned equilibrium search, and seeded Monte Carlo / exact finite-deck
+verification.
 """
 
 from .analytic import (

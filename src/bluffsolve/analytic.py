@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GameConfig
-from .strategy import Strategy, a_type, b_type, m_deterministic, refine
+from .strategy import Strategy, a_type, b_type, m_deterministic, probabilities_on, refine
 
 #: Row/column order of the strategy-type payoff table.
 TAXONOMY_KEYS = ("a", "b", "m")
@@ -53,11 +53,6 @@ class PiecewiseLinear:
 
     def __call__(self, v):
         return np.interp(v, self.knots, self.values)
-
-    def slopes(self) -> tuple[float, ...]:
-        k = np.asarray(self.knots)
-        y = np.asarray(self.values)
-        return tuple(np.diff(y) / np.diff(k))
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,7 @@ def response_value(s: Strategy, evs: ConditionalEV) -> float:
     high = evs.ev_high(knots)
     low = evs.ev_low(knots)
     lengths = np.diff(knots)
-    # Piece weight: evaluate at the left knot (right-continuous curve).
-    h = np.array([s.high_probability(float(x)) for x in knots[:-1]])
+    h = probabilities_on(s.breakpoints, s.high_prob, knots[1:-1])
     avg_high = (high[:-1] + high[1:]) / 2.0
     avg_low = (low[:-1] + low[1:]) / 2.0
     return float(np.sum(lengths * (h * avg_high + (1.0 - h) * avg_low)))

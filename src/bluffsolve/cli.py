@@ -105,6 +105,10 @@ def _add_game_options(p: argparse.ArgumentParser, deck: bool = False) -> None:
 def _build_config(args: argparse.Namespace) -> GameConfig:
     if args.ratio is not None and (args.a is not None or args.b is not None):
         raise UsageError("--ratio and --a/--b are mutually exclusive")
+    for flag in ("ratio", "a", "b"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value!r}")
     if args.ratio is not None:
         high, low = Fraction(args.ratio), Fraction(1)
     else:
@@ -363,6 +367,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --ratios value {args.ratios!r}: {exc}") from exc
     if not ratios:
         raise UsageError("--ratios must list at least one ratio")
+    if not all(math.isfinite(r) for r in ratios):
+        raise UsageError(f"--ratios must be finite, got {args.ratios!r}")
     if any(r <= 1.0 for r in ratios):
         raise UsageError("every ratio must exceed 1")
     _check_solver_options(args)
@@ -423,6 +429,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     s1, s2 = _pair(args)
     seed = _default_seed(args.seed)
+    if args.chunk_size < 1:
+        raise UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
     if args.schedule is not None:
         try:
             schedule = [int(x) for x in args.schedule.split(",") if x.strip()]

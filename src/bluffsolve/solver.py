@@ -1,35 +1,52 @@
-"""Best responses, exploitability, and fictitious-play equilibrium search.
+"""Best responses, exploitability, and the binned equilibrium search.
 
 The conditional EVs of the two bets are piecewise linear in the own card, so
 a best response is found exactly: per piece, the sign changes of their
 difference come from a linear solve, and the pointwise argmax action rule is
 assembled from those cut points. Exploitability is the best-response value;
 in this symmetric zero-sum game it is zero exactly at a symmetric equilibrium
-strategy.
+strategy, and it is a convex function e(h) of the strategy's curve h.
 
-Fictitious play runs over strategies constant on K uniform bins. Pointwise
-averaging of the High-probability curves is exact because the payoff is
-affine in each player's curve. Because coarse bins cannot always distinguish
-strategies that differ only on indifference regions, the solver additionally
-polishes its incumbent with per-bin golden-section descent on the (convex)
-exploitability whenever plain averaging stalls; the result it reports is the
-best strategy found, certified by the exploitability operation itself.
+The equilibrium search runs over strategies constant on K uniform bins and
+advances two sequences of curves together:
 
-The fictitious-play loop and the polish work on the bin curve as a numpy
-array, and a ``Strategy`` is built only for the result. Each running average
-gets one best response: its value is the average's exploitability and its
-action rule feeds the next averaging step. The public ``best_response`` and
+(a) Predictive regret matching+ (PRM+; Farina, Kroer & Sandholm, AAAI 2021)
+    in self-play on the K-bin game. Each bin keeps clipped cumulative
+    regrets of High and Low, predicts the next regrets by the last ones, and
+    plays High with probability [Q + m]+_High / ([Q + m]+_High + [Q + m]+_Low)
+    (1/2 where both vanish). The bin action values are the integrals of
+    ev_high and ev_low over the bin, exact by the trapezoid rule because the
+    EVs are linear there.
+(b) Projected subgradient descent on e with Polyak's step size (Polyak,
+    1969), using the known lower bound e >= 0 (the game value):
+    y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
+    payoff of y's best response, a subgradient of e at y.
+
+Every iterate of both sequences is certified by the exact continuous
+exploitability, the solver returns the best certified iterate, and it stops
+at the first one within epsilon. Neither sequence suffices alone. PRM+
+minimises regret in the bin-restricted game, whose equilibria need not be
+continuous ones: at K=2 and ratio 2 it settles on always-High. Against
+always-High the bin [0, 1/2) is indifferent on average, so no bin strategy
+beats it, but the continuous response that bets Low below 1/4 wins 0.125.
+The Polyak sequence targets e itself and reaches the exact K=2 equilibrium
+(1/3, 1), but alone it took 470 steps to reach 1e-3 at K=200 and ratio 2,
+where the two together take 99.
+
+The search works on the bin curve as a numpy array, and a ``Strategy`` is
+built only for the result. The public ``best_response`` and
 ``exploitability`` take and return ``Strategy`` objects and run the same EV,
 action-rule, grid-merge and payoff kernels, so they certify the solver's
-figures bit for bit.
+figures bit for bit. The search keeps its historical name
+``fictitious_play`` so that callers of the API and the CLI keep working.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +59,6 @@ from .analytic import (
 )
 from .engine import GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
-
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 #: A 0/1 action rule as arrays: breakpoints, and the High value per piece.
 _Rule = tuple[np.ndarray, np.ndarray]
@@ -59,10 +74,15 @@ class BestResponse:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Outcome of a fictitious-play run.
+    """Outcome of an equilibrium search (see ``fictitious_play``).
 
-    ``trace`` records checkpoints as (iteration, exploitability of the running
-    average at that iteration, best exploitability found so far).
+    ``strategy`` is the best certified iterate of the two sequences and
+    ``exploitability`` its exact continuous exploitability. ``iterations``
+    counts joint steps of the sequences. ``trace`` records checkpoints as
+    (iteration, exploitability of the linear average of the PRM+ iterates,
+    best exploitability found so far); the average is certified only at the
+    checkpoints, every 50 steps and at the end, and is never a candidate for
+    the result.
     """
 
     strategy: Strategy
@@ -141,67 +161,20 @@ def _binned_response(
     return (breakpoints, high), payoff.value
 
 
-def _bin_high_fraction(rule: _Rule, edges: np.ndarray) -> np.ndarray:
-    """Measure of each bin on which a 0/1 action rule bets High, as a fraction."""
-    breakpoints, high = rule
-    bins = len(edges) - 1
-    out = np.zeros(bins)
-    pieces = (0.0, *breakpoints, 1.0)
-    for lo, hi, val in zip(pieces[:-1], pieces[1:], high):
-        if val == 0.0:
-            continue
-        overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
-        out += np.maximum(overlap, 0.0)
-    return out * bins
+def _bin_gaps(
+    a: float, b: float, edges: np.ndarray, grid: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """Per-bin integral of ev_high - ev_low against the curve ``h`` on ``grid``.
 
-
-def _golden_min(f: Callable[[float], float], tol: float = 1e-13) -> tuple[float, float]:
-    """Minimize a unimodal function on [0, 1]; checks both endpoints too."""
-    lo, hi = 0.0, 1.0
-    c = hi - _INV_PHI * (hi - lo)
-    e = lo + _INV_PHI * (hi - lo)
-    fc, fe = f(c), f(e)
-    while hi - lo > tol:
-        if fc <= fe:
-            hi, e, fe = e, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + _INV_PHI * (hi - lo)
-            fe = f(e)
-    candidates = [((lo + hi) / 2.0, f((lo + hi) / 2.0)), (0.0, f(0.0)), (1.0, f(1.0))]
-    return min(candidates, key=lambda item: item[1])
-
-
-def _polish(
-    respond: Callable[[np.ndarray], tuple[_Rule, float]],
-    h: np.ndarray,
-    best_value: float,
-    epsilon: float,
-    max_sweeps: int = 4,
-) -> tuple[np.ndarray, float]:
-    """Per-bin golden-section descent on exploitability (convex per coordinate)."""
-    h = h.copy()
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(len(h)):
-
-            def objective(x: float, _i: int = i) -> float:
-                trial = h.copy()
-                trial[_i] = x
-                return respond(trial)[1]
-
-            x, fx = _golden_min(objective)
-            if fx < best_value:
-                h[i] = x
-                best_value = fx
-                improved = True
-            if best_value <= epsilon:
-                return h, best_value
-        if not improved:
-            break
-    return h, best_value
+    ``grid`` holds the interior bin edges and possibly more breakpoints; ``h``
+    gives the opponent's High probability per piece of it. Both EVs are
+    linear on every piece, so the trapezoid rule is exact.
+    """
+    knots = np.concatenate(([0.0], grid, [1.0]))
+    ev_high, ev_low = _ev_arrays(a, b, knots, h)
+    gap = ev_high - ev_low
+    pieces = np.diff(knots) * (gap[:-1] + gap[1:]) / 2.0
+    return np.add.reduceat(pieces, np.searchsorted(knots, edges[:-1]))
 
 
 def fictitious_play(
@@ -210,13 +183,16 @@ def fictitious_play(
     epsilon: float,
     max_iters: int = 5000,
 ) -> EquilibriumResult:
-    """Find a low-exploitability binned strategy by best-response averaging.
+    """Find a low-exploitability strategy constant on ``bins`` uniform bins.
 
-    Starts from the uninformative curve h = 1/2, best-responds to the running
-    average, and averages the response's per-bin High measure back in. Stops
-    at the first strategy with exploitability <= epsilon; otherwise returns
-    the best strategy found within ``max_iters`` (after a final polish pass).
-    A non-converged run is reported via ``converged=False``, never raised.
+    Starts both sequences of the module docstring, PRM+ self-play and the
+    Polyak subgradient step, from the curve h = 1/2 and advances them
+    together, certifying every iterate with the exact continuous
+    exploitability. Stops at the first iterate with exploitability <=
+    epsilon; otherwise returns the best certified iterate within
+    ``max_iters`` steps. A non-converged run is reported via
+    ``converged=False``, never raised. The search is deterministic. The name
+    is kept from the fictitious-play solver it replaced.
     """
     if not cfg.is_continuous:
         raise ValueError("fictitious play runs on the continuous card model")
@@ -227,53 +203,65 @@ def fictitious_play(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
+    a, b = float(cfg.high_bet), float(cfg.low_bet)
     edges = _bin_edges(bins)
-    respond = functools.partial(
-        _binned_response, float(cfg.high_bet), float(cfg.low_bet), edges
-    )
-    h = np.full(bins, 0.5)
-    rule, best_value = respond(h)
+    interior = edges[1:-1]
+    x = y = np.full(bins, 0.5)
+    y_rule, y_value = _binned_response(a, b, edges, y)
+    best_h, best_value = y, y_value
 
-    best_h = h.copy()
-    last_value = best_value
+    def certify(h: np.ndarray) -> tuple[_Rule, float]:
+        nonlocal best_h, best_value
+        rule, value = _binned_response(a, b, edges, h)
+        if value < best_value:
+            best_h, best_value = h, value
+        return rule, value
+
+    # PRM+ state: clipped cumulative regrets of High and Low per bin.
+    regret_high, regret_low = np.zeros(bins), np.zeros(bins)
+    # Linear average of the PRM+ iterates, certified for the trace only.
+    weighted_sum, weight = np.zeros(bins), 0
     trace: list[tuple[int, float, float]] = [(0, best_value, best_value)]
     iterations = 0
-    last_improvement = 0
-    polish_budget = 10
-    # Mid-run polishing is cheap only for small bin counts; large runs polish
-    # once at the end if still above epsilon.
-    stall_window = 250 if bins <= 64 else max_iters + 1
+    while best_value > epsilon and iterations < max_iters:
+        iterations += 1
 
-    if best_value > epsilon:
-        for n in range(1, max_iters + 1):
-            iterations = n
-            h = (n * h + _bin_high_fraction(rule, edges)) / (n + 1)
-            rule, last_value = respond(h)
-            if last_value < best_value:
-                if last_value < best_value * 0.99:
-                    last_improvement = n
-                best_value = last_value
-                best_h = h.copy()
-            if n % 50 == 0:
-                trace.append((n, last_value, best_value))
-            if best_value <= epsilon:
-                break
-            if n - last_improvement >= stall_window and polish_budget > 0:
-                polish_budget -= 1
-                last_improvement = n
-                best_h, best_value = _polish(respond, best_h, best_value, epsilon)
-                if best_value <= epsilon:
-                    break
+        # (a) PRM+: this iterate's regrets update the clipped sums and are
+        # the prediction for the next iterate.
+        gap = _bin_gaps(a, b, edges, interior, x)
+        last_high, last_low = (1.0 - x) * gap, -x * gap
+        regret_high = np.maximum(regret_high + last_high, 0.0)
+        regret_low = np.maximum(regret_low + last_low, 0.0)
+        high_part = np.maximum(regret_high + last_high, 0.0)
+        total = high_part + np.maximum(regret_low + last_low, 0.0)
+        x = np.divide(high_part, total, out=np.full(bins, 0.5), where=total > 0.0)
+        weighted_sum += iterations * x
+        weight += iterations
+        certify(x)
+        if best_value <= epsilon:
+            break
 
-    if best_value > epsilon and polish_budget > 0:
-        best_h, best_value = _polish(respond, best_h, best_value, epsilon)
+        # (b) Polyak step on e, whose minimum is at least the game value 0;
+        # the gradient of y's response payoff is a subgradient of e at y.
+        breakpoints, high = y_rule
+        grid = merge_breakpoints(breakpoints, interior)
+        g = -_bin_gaps(a, b, edges, grid, probabilities_on(breakpoints, high, grid))
+        norm = float(g @ g)
+        if norm > 0.0:
+            y = np.clip(y - (y_value / norm) * g, 0.0, 1.0)
+        y_rule, y_value = certify(y)
 
-    if trace and trace[-1][0] == iterations:
+        if iterations % 50 == 0:
+            average = _binned_response(a, b, edges, weighted_sum / weight)[1]
+            trace.append((iterations, average, best_value))
+
+    if trace[-1][0] == iterations:
         trace.pop()
-    trace.append((iterations, last_value, best_value))
+    average = weighted_sum / weight if weight else x
+    trace.append((iterations, _binned_response(a, b, edges, average)[1], best_value))
     return EquilibriumResult(
         strategy=Strategy(
-            breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
+            breakpoints=tuple(interior.tolist()), high_prob=tuple(best_h.tolist())
         ),
         exploitability=best_value,
         iterations=iterations,
@@ -298,6 +286,8 @@ def ratio_sweep(
     """
     rows = []
     for ratio in ratios:
+        if not math.isfinite(ratio):
+            raise ValueError(f"bet ratio must be finite, got {ratio!r}")
         if ratio <= 1.0:
             raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
         cfg = GameConfig(Fraction(ratio), Fraction(1))

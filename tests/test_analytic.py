@@ -163,7 +163,8 @@ class TestConditionalEVs:
             opp = random_strategy(rng)
             evs = conditional_evs(CFG, opp)
             knots = evs.ev_high.knots
-            d_slopes = np.subtract(evs.ev_high.slopes(), evs.ev_low.slopes())
+            d = np.subtract(evs.ev_high.values, evs.ev_low.values)
+            d_slopes = np.diff(d) / np.diff(knots)
             for (lo, hi), slope in zip(zip(knots[:-1], knots[1:]), d_slopes):
                 h = opp.high_probability((lo + hi) / 2)
                 assert slope == pytest.approx(2 * 2.0 * h - 2 * 1.0 * (1 - h), abs=1e-9)

@@ -179,13 +179,37 @@ class TestSolveCommand:
         ["sweep", "--ratios", "2", "--bins", "1"],
         ["sweep", "--ratios", "2", "--epsilon", "-1"],
         ["sweep", "--ratios", "2", "--max-iters", "0"],
+        ["sweep", "--ratios", "nan"],
+        ["sweep", "--ratios", "inf"],
+        ["sweep", "--ratios", "2,nan"],
+        ["solve", "--ratio", "inf", "--bins", "2"],
+        ["solve", "--ratio", "nan", "--bins", "2"],
     ],
 )
 def test_bad_solver_arguments_are_usage_errors(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--a", "nan"],
+        ["equilibrium", "--b", "inf"],
+        ["payoff", "--s1", "a-type", "--s2", "b-type", "--ratio", "nan"],
+        ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0"],
+        ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0", "--schedule", "10"],
+    ],
+)
+def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+def assert_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -182,22 +182,37 @@ class TestFictitiousPlay:
         result = fictitious_play(CFG, bins=16, epsilon=1e-4, max_iters=800)
         assert exploitability(CFG, result.strategy) == result.exploitability
 
-    def test_stall_window_polish_is_certified(self, monkeypatch):
-        polish = solver._polish
-        results = []
+    @pytest.mark.parametrize("bins", [2, 8, 16])
+    def test_every_certified_iterate_matches_the_public_certificate(self, monkeypatch, bins):
+        # Both sequences and the trace's average are certified by
+        # _binned_response; each value must be the public exploitability.
+        respond = solver._binned_response
+        certified = []
 
-        def recording_polish(*args, **kwargs):
-            results.append(polish(*args, **kwargs))
-            return results[-1]
+        def recording_response(a, b, edges, h):
+            rule, value = respond(a, b, edges, h)
+            certified.append((h.copy(), value))
+            return rule, value
 
-        monkeypatch.setattr(solver, "_polish", recording_polish)
-        bins = 8
-        fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=600)
-        # At most one call is the final polish; the rest fired on a stall.
-        assert len(results) >= 2
+        monkeypatch.setattr(solver, "_binned_response", recording_response)
+        result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
+        # The start, two iterates per step, and the trace's averages.
+        assert len(certified) >= 1 + 2 * (result.iterations - 1)
         interior = tuple(solver._bin_edges(bins)[1:-1].tolist())
-        for h, value in results:
+        for h, value in certified:
             assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
+        assert any(value == result.exploitability for _, value in certified)
+
+    @pytest.mark.parametrize(
+        "ratio", [1.2, 2.1, 2.2, 2.4, 2.6, 2.7, 2.8, 2.9, 4.0, 10.0]
+    )
+    def test_converges_at_two_hundred_bins(self, ratio):
+        # Fictitious play with golden-section polish did not converge at
+        # ratios 2.1-2.9 within 5000 iterations.
+        cfg = GameConfig(Fraction(ratio), 1)
+        result = fictitious_play(cfg, bins=200, epsilon=1e-3, max_iters=5000)
+        assert result.converged
+        assert exploitability(cfg, result.strategy) == result.exploitability
 
     def test_non_convergence_is_reported_not_raised(self):
         result = fictitious_play(CFG, bins=200, epsilon=1e-15, max_iters=5)
@@ -243,3 +258,8 @@ class TestRatioSweep:
     def test_rejects_ratio_at_or_below_one(self):
         with pytest.raises(ValueError):
             ratio_sweep([1.0], bins=2, epsilon=1e-2)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="finite"):
+            ratio_sweep([ratio], bins=2, epsilon=1e-2)
