@@ -84,10 +84,6 @@ def _resolve_strategy(inline: str | None, path: str | None, flag: str) -> Strate
     return parse_strategy_spec(inline) if inline is not None else _load_strategy_file(path)
 
 
-def _strategy_obj(s: Strategy) -> dict:
-    return {"breakpoints": list(s.breakpoints), "high_prob": list(s.high_prob)}
-
-
 def _add_game_options(p: argparse.ArgumentParser, deck: bool = False) -> None:
     p.add_argument("--a", type=float, default=None, help="high bet (default 2)")
     p.add_argument("--b", type=float, default=None, help="low bet (default 1)")
@@ -148,10 +144,17 @@ def _check_solver_options(args: argparse.Namespace) -> None:
         raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
 
 
+def _write_file(path: str, text: str, flag: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"--{flag}: cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_file(args.out, text, "out")
     else:
         sys.stdout.write(text + "\n")
 
@@ -159,8 +162,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _dump_strategy(args: argparse.Namespace, s: Strategy) -> None:
     path = getattr(args, "dump_strategy", None)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(s.to_json() + "\n")
+        _write_file(path, s.to_json(), "dump-strategy")
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -319,7 +321,7 @@ def _cmd_best_response(args: argparse.Namespace) -> int:
     opponent = _resolve_strategy(args.opponent, args.opponent_file, "opponent")
     _dump_strategy(args, opponent)
     result = solver.best_response(cfg, opponent)
-    _emit(args, _json({"value": result.value, "strategy": _strategy_obj(result.action_rule)}))
+    _emit(args, _json({"value": result.value, "strategy": result.action_rule.to_dict()}))
     return 0
 
 
@@ -341,7 +343,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         args,
         _json(
             {
-                "strategy": _strategy_obj(result.strategy),
+                "strategy": result.strategy.to_dict(),
                 "exploitability": result.exploitability,
                 "iterations": result.iterations,
                 "bin_count": result.bin_count,

@@ -1,11 +1,23 @@
 """Seeded Monte Carlo estimation and an exact brute-force oracle for finite decks.
 
-The simulator is chunked over counter-based Philox streams, so an estimate is
-bit-identical for a fixed (seed, chunk_size) no matter how chunks would be
-scheduled. Each simulated round consumes exactly four uniforms per hand
-(card, card, bet draw, bet draw); the ``mirrored`` flag swaps the seat columns
-of that stream, which replays the identical physical hands with the players'
-roles exchanged and therefore negates every payoff exactly.
+The simulator splits the hands into chunks of ``chunk_size``, each drawing from
+its own counter-based Philox stream, and runs the chunks concurrently on a
+thread pool with one worker per available core (none for a single chunk).
+Each simulated round consumes exactly four uniforms per hand (card, card, bet
+draw, bet draw); the ``mirrored`` flag swaps the seat columns of that stream,
+which replays the identical physical hands with the players' roles exchanged
+and therefore negates every payoff exactly.
+
+A chunk returns integer counts of its outcome classes (wins and losses at a
+and at b, and replays), which add exactly in any order, so an estimate is
+bit-identical for a fixed (seed, chunk_size) whatever the scheduling or the
+core count. With integer bets it also equals, bit for bit, that of earlier
+versions, which summed a float payoff per hand; with non-integer bets the
+mean and standard error can differ from those in the last bits, because the
+sums are now rounded once per outcome class instead of pairwise per hand.
+A worker holds one block of ``_BLOCK`` deals at a time, so memory grows with
+the number of workers, not with the number of hands; a discrete deck adds a
+High-probability table of 8 bytes per card and seat.
 
 The brute-force oracle sums over every card pair and bet combination of a
 discrete deck in exact rational arithmetic, then conditions on the hand
@@ -15,6 +27,7 @@ settling: E = E[payoff on settled deals] / (1 - P(replay)).
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +39,10 @@ from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
 from .strategy import Strategy
 
 DEFAULT_CHUNK_SIZE = 1 << 18
+
+#: Deals drawn and tallied at once: 2 MB of uniforms, so a worker's arrays
+#: stay small whatever the chunk size.
+_BLOCK = 1 << 16
 
 #: Largest deck the exact oracle will enumerate.
 MAX_ENUMERATED_DECK = 10_000
@@ -64,8 +81,99 @@ class ExactDiscreteValue:
         return float(self.replay_probability)
 
 
-def _strategy_tables(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(s.breakpoints), np.asarray(s.high_prob)
+def _seat_tables(s: Strategy, deck: int | None, chunk_size: int) -> tuple:
+    """(breakpoints, High probabilities, per-card High table or None) of a seat.
+
+    The table gives card i the piece that ``searchsorted`` gives its float
+    value ``i / (M - 1)``. It is built only for a deck no larger than a chunk,
+    so building it costs no more than the lookups it replaces.
+    """
+    bp, pr = np.asarray(s.breakpoints), np.asarray(s.high_prob)
+    table = None
+    if deck is not None and deck <= chunk_size:
+        table = pr[np.searchsorted(bp, np.arange(deck) / (deck - 1), side="right")]
+    return bp, pr, table
+
+
+def _cards(u: np.ndarray, deck: int | None) -> np.ndarray:
+    if deck is None:
+        return u
+    cards = (u * deck).astype(np.int64)
+    return np.minimum(cards, deck - 1, out=cards)
+
+
+def _high_probability(cards: np.ndarray, seat: tuple, deck: int | None) -> np.ndarray:
+    bp, pr, table = seat
+    if table is not None:
+        return table[cards]
+    values = cards if deck is None else cards / (deck - 1)
+    return pr[np.searchsorted(bp, values, side="right")]
+
+
+def _tally(u: np.ndarray, deck: int | None, seats: tuple, columns: tuple) -> np.ndarray:
+    """Player 1's outcome counts over deals ``u``, one row of uniforms each.
+
+    Returns [wins at a, losses at a, wins at b, losses at b, replays].
+    """
+    card1, card2, draw1, draw2 = columns
+    c1, c2 = _cards(u[:, card1], deck), _cards(u[:, card2], deck)
+    high1 = u[:, draw1] < _high_probability(c1, seats[0], deck)
+    high2 = u[:, draw2] < _high_probability(c2, seats[1], deck)
+    above, tie = c1 > c2, c1 == c2
+    both_high = high1 & high2
+    both_low = ~(high1 | high2)
+    n_high = np.count_nonzero(both_high)
+    n_low = np.count_nonzero(both_low)
+    high_wins = np.count_nonzero(both_high & above)
+    high_ties = np.count_nonzero(both_high & tie)
+    low_wins = np.count_nonzero(both_low & above)
+    low_ties = np.count_nonzero(both_low & tie)
+    # A lone High bettor nets +b whatever the cards.
+    return np.array(
+        [
+            high_wins,
+            n_high - high_wins - high_ties,
+            np.count_nonzero(high1) - n_high + low_wins,
+            np.count_nonzero(high2) - n_high + n_low - low_wins - low_ties,
+            high_ties + low_ties,
+        ],
+        dtype=np.int64,
+    )
+
+
+def _chunk_counts(
+    seed: int, index: int, n: int, deck: int | None, seats: tuple, mirrored: bool
+) -> np.ndarray:
+    """``_tally`` counts of chunk ``index``: ``n`` settled hands and their replays.
+
+    Each round deals again the hands the round before replayed; which hands
+    they were does not matter, only how many. A round draws its uniforms
+    ``_BLOCK`` deals at a time, which continues the one Philox sequence.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(index))
+    columns = (1, 0, 3, 2) if mirrored else (0, 1, 2, 3)
+    counts = np.zeros(5, dtype=np.int64)
+    pending = n
+    rounds = 0
+    while pending:
+        rounds += 1
+        if rounds > MAX_CONSECUTIVE_REPLAYS:
+            raise RuntimeError(f"hands failed to settle within {MAX_CONSECUTIVE_REPLAYS} replays")
+        replayed = 0
+        for start in range(0, pending, _BLOCK):
+            u = rng.random((min(_BLOCK, pending - start), 4))
+            block = _tally(u, deck, seats, columns)
+            counts += block
+            replayed += int(block[4])
+        pending = replayed
+    return counts
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def simulate(
@@ -82,62 +190,32 @@ def simulate(
         raise ValueError(f"need at least one hand, got {hands}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    a, b = float(cfg.high_bet), float(cfg.low_bet)
-    bp1, pr1 = _strategy_tables(s1)
-    bp2, pr2 = _strategy_tables(s2)
     deck = cfg.deck_size
+    seats = (_seat_tables(s1, deck, chunk_size), _seat_tables(s2, deck, chunk_size))
+    chunks = -(-hands // chunk_size)
+    workers = min(chunks, _available_cores())
 
-    total = 0.0
-    total_sq = 0.0
-    replays = 0
-    done = 0
-    chunk_index = 0
-    while done < hands:
-        n = min(chunk_size, hands - done)
-        rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(chunk_index))
-        payoff = np.empty(n)
-        pending = np.arange(n)
-        rounds = 0
-        while pending.size:
-            rounds += 1
-            if rounds > MAX_CONSECUTIVE_REPLAYS:
-                raise RuntimeError(
-                    f"hands failed to settle within {MAX_CONSECUTIVE_REPLAYS} replays"
-                )
-            u = rng.random((pending.size, 4))
-            if mirrored:
-                u = u[:, [1, 0, 3, 2]]
-            if deck is None:
-                c1, c2 = u[:, 0], u[:, 1]
-                tie = c1 == c2
-            else:
-                i1 = np.minimum((u[:, 0] * deck).astype(np.int64), deck - 1)
-                i2 = np.minimum((u[:, 1] * deck).astype(np.int64), deck - 1)
-                tie = i1 == i2
-                c1 = i1 / (deck - 1)
-                c2 = i2 / (deck - 1)
-            h1 = pr1[np.searchsorted(bp1, c1, side="right")]
-            h2 = pr2[np.searchsorted(bp2, c2, side="right")]
-            high1 = u[:, 2] < h1
-            high2 = u[:, 3] < h2
-            sign = np.sign(c1 - c2)
-            pay = np.where(
-                high1 == high2,
-                np.where(high1, a, b) * sign,
-                np.where(high1, b, -b),
-            )
-            replay = (high1 == high2) & tie
-            settled = ~replay
-            payoff[pending[settled]] = pay[settled]
-            replays += int(replay.sum())
-            pending = pending[replay]
-        total += float(payoff.sum())
-        total_sq += float((payoff * payoff).sum())
-        done += n
-        chunk_index += 1
+    def stripe(first: int) -> np.ndarray:
+        # Chunks first, first + workers, ...; counts add exactly in any order.
+        counts = np.zeros(5, dtype=np.int64)
+        for index in range(first, chunks, workers):
+            n = min(chunk_size, hands - index * chunk_size)
+            counts += _chunk_counts(seed, index, n, deck, seats, mirrored)
+        return counts
 
-    mean = total / hands
+    if workers == 1:
+        counts = stripe(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(stripe, range(workers)))
+    wins_a, losses_a, wins_b, losses_b, replays = (int(c) for c in counts)
+
+    a, b = float(cfg.high_bet), float(cfg.low_bet)
+    mean = ((wins_a - losses_a) * a + (wins_b - losses_b) * b) / hands
     if hands > 1:
+        total_sq = (wins_a + losses_a) * (a * a) + (wins_b + losses_b) * (b * b)
         variance = max((total_sq - hands * mean * mean) / (hands - 1), 0.0)
         std_error = math.sqrt(variance / hands)
     else:

@@ -5,16 +5,20 @@ from dense two-dimensional Riemann sums or adaptive quadrature over the
 defining integrals, conditional EVs from adaptive quadrature, and finite
 decks from a literal loop over every card pair and bet combination through
 the settlement rule. None of them refine breakpoint grids or use prefix sums.
+``simulate_reference`` is the Monte Carlo simulator that fills a payoff array
+per chunk and sums it, run one chunk after another.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
-from bluffsolve.engine import BetAction, Card, GameConfig, settle
+from bluffsolve.engine import MAX_CONSECUTIVE_REPLAYS, BetAction, Card, GameConfig, settle
+from bluffsolve.montecarlo import DEFAULT_CHUNK_SIZE, MCEstimate
 from bluffsolve.strategy import Strategy
 
 
@@ -123,3 +127,84 @@ def random_strategy(
         breakpoints = tuple(raw)
     probs = tuple(float(p) for p in rng.random(len(breakpoints) + 1))
     return Strategy(breakpoints=breakpoints, high_prob=probs)
+
+
+def simulate_reference(
+    cfg: GameConfig,
+    s1: Strategy,
+    s2: Strategy,
+    hands: int,
+    seed: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    mirrored: bool = False,
+) -> MCEstimate:
+    """``montecarlo.simulate`` with a payoff per hand, summed chunk by chunk.
+
+    Draws the same Philox stream: chunk k uses ``Philox(seed).jumped(k)`` and
+    each round draws four uniforms for every hand still pending.
+    """
+    a, b = float(cfg.high_bet), float(cfg.low_bet)
+    bp1, pr1 = np.asarray(s1.breakpoints), np.asarray(s1.high_prob)
+    bp2, pr2 = np.asarray(s2.breakpoints), np.asarray(s2.high_prob)
+    deck = cfg.deck_size
+
+    total = 0.0
+    total_sq = 0.0
+    replays = 0
+    done = 0
+    chunk_index = 0
+    while done < hands:
+        n = min(chunk_size, hands - done)
+        rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(chunk_index))
+        payoff = np.empty(n)
+        pending = np.arange(n)
+        rounds = 0
+        while pending.size:
+            rounds += 1
+            assert rounds <= MAX_CONSECUTIVE_REPLAYS
+            u = rng.random((pending.size, 4))
+            if mirrored:
+                u = u[:, [1, 0, 3, 2]]
+            if deck is None:
+                c1, c2 = u[:, 0], u[:, 1]
+                tie = c1 == c2
+            else:
+                i1 = np.minimum((u[:, 0] * deck).astype(np.int64), deck - 1)
+                i2 = np.minimum((u[:, 1] * deck).astype(np.int64), deck - 1)
+                tie = i1 == i2
+                c1 = i1 / (deck - 1)
+                c2 = i2 / (deck - 1)
+            h1 = pr1[np.searchsorted(bp1, c1, side="right")]
+            h2 = pr2[np.searchsorted(bp2, c2, side="right")]
+            high1 = u[:, 2] < h1
+            high2 = u[:, 3] < h2
+            sign = np.sign(c1 - c2)
+            pay = np.where(
+                high1 == high2,
+                np.where(high1, a, b) * sign,
+                np.where(high1, b, -b),
+            )
+            replay = (high1 == high2) & tie
+            settled = ~replay
+            payoff[pending[settled]] = pay[settled]
+            replays += int(replay.sum())
+            pending = pending[replay]
+        total += float(payoff.sum())
+        total_sq += float((payoff * payoff).sum())
+        done += n
+        chunk_index += 1
+
+    mean = total / hands
+    if hands > 1:
+        variance = max((total_sq - hands * mean * mean) / (hands - 1), 0.0)
+        std_error = math.sqrt(variance / hands)
+    else:
+        std_error = 0.0
+    return MCEstimate(
+        mean=mean,
+        std_error=std_error,
+        hands=hands,
+        seed=seed,
+        replay_rate=replays / (hands + replays),
+        chunk_size=chunk_size,
+    )

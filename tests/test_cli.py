@@ -204,6 +204,17 @@ def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
     assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--out"],
+        ["best-response", "--opponent", "b-type", "--dump-strategy"],
+    ],
+)
+def test_unwritable_output_paths_are_usage_errors(capsys, tmp_path, argv):
+    assert_usage_error(capsys, [*argv, str(tmp_path / "missing" / "file")])
+
+
 def assert_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -1,5 +1,6 @@
 """Monte Carlo estimator and the exact discrete-deck oracle."""
 
+import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from bluffsolve.analytic import expected_payoff
+from bluffsolve import montecarlo
 from bluffsolve.engine import GameConfig
 from bluffsolve.montecarlo import (
+    DEFAULT_CHUNK_SIZE,
     MCEstimate,
     brute_force_discrete,
     convergence_report,
@@ -16,7 +19,7 @@ from bluffsolve.montecarlo import (
 )
 from bluffsolve.strategy import a_type, b_type, m_deterministic, threshold_mix
 
-from .oracles import enumerate_discrete, random_strategy
+from .oracles import enumerate_discrete, random_strategy, simulate_reference
 
 CFG = GameConfig(2, 1)
 SIGMA = threshold_mix(0.5, 1 / 3)
@@ -82,6 +85,76 @@ class TestSimulate:
             simulate(CFG, SIGMA, SIGMA, hands=0, seed=0)
         with pytest.raises(ValueError):
             simulate(CFG, SIGMA, SIGMA, hands=10, seed=0, chunk_size=0)
+
+
+class TestCountedKernel:
+    """``simulate`` tallies outcome classes; the reference sums payoff arrays."""
+
+    @pytest.mark.parametrize("chunk_size", [1234, DEFAULT_CHUNK_SIZE])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize(
+        "deck, grid",
+        # Breakpoints on the grid i/(M-1) put cards exactly on them; M = 5001
+        # exceeds the 1234-hand chunk, so it looks pieces up by searchsorted.
+        [(None, None), (2, None), (11, 10), (1001, 1000), (5001, 1000)],
+    )
+    def test_matches_payoff_array_reference(self, deck, grid, mirrored, chunk_size):
+        rng = np.random.default_rng([deck or 0, chunk_size])
+        cfg = GameConfig(2, 1, deck_size=deck)
+        s1, s2 = random_strategy(rng, grid=grid), random_strategy(rng, grid=grid)
+        hands = 10_001 if chunk_size == 1234 else chunk_size + 70_001
+        args = (cfg, s1, s2)
+        kwargs = dict(hands=hands, seed=deck or 1, chunk_size=chunk_size, mirrored=mirrored)
+        assert simulate(*args, **kwargs) == simulate_reference(*args, **kwargs)
+
+    @pytest.mark.parametrize("deck", [None, 2, 11])
+    def test_single_hand_matches_reference(self, deck):
+        cfg = GameConfig(2, 1, deck_size=deck)
+        for seed in range(20):
+            assert simulate(cfg, SIGMA, SIGMA, hands=1, seed=seed) == simulate_reference(
+                cfg, SIGMA, SIGMA, hands=1, seed=seed
+            )
+
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [(a_type(), threshold_mix(0.5, 0.3)), (m_deterministic(0.3), m_deterministic(0.6))],
+    )
+    def test_non_integer_bets(self, s1, s2):
+        # With a = 1.7 the reference's pairwise sums round differently from
+        # one product per outcome class. The bound is relative to the mean,
+        # so the pairs have means far from zero (0.06 and 0.49).
+        cfg = GameConfig(1.7, 1)
+        est = simulate(cfg, s1, s2, hands=100_000, seed=5, chunk_size=1234)
+        ref = simulate_reference(cfg, s1, s2, hands=100_000, seed=5, chunk_size=1234)
+        assert abs(est.mean - ref.mean) <= 1e-15 * abs(ref.mean)
+        assert est.replay_rate == ref.replay_rate
+        rev = simulate(cfg, s2, s1, hands=100_000, seed=5, chunk_size=1234, mirrored=True)
+        assert rev.mean == -est.mean
+        assert rev.std_error == est.std_error
+        assert rev.replay_rate == est.replay_rate
+
+    def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
+        cfg = GameConfig(2, 1, deck_size=11)
+        args = (cfg, SIGMA, m_deterministic(0.3))
+        kwargs = dict(hands=10_001, seed=3, chunk_size=1234)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+        one = simulate(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 3)
+        three = simulate(*args, **kwargs)
+        assert one == three == simulate_reference(*args, **kwargs)
+
+    def test_one_chunk_or_one_core_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 3)
+        simulate(CFG, SIGMA, SIGMA, hands=1234, seed=0, chunk_size=1234)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+        simulate(CFG, SIGMA, SIGMA, hands=10_001, seed=0, chunk_size=1234)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 3)
+        with pytest.raises(AssertionError, match="thread pool"):
+            simulate(CFG, SIGMA, SIGMA, hands=1235, seed=0, chunk_size=1234)
 
 
 class TestBruteForceDiscrete:
