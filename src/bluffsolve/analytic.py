@@ -136,10 +136,10 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
     ev_high, ev_low = _ev_arrays(
         float(cfg.high_bet), float(cfg.low_bet), knots, np.array(opponent.high_prob)
     )
-    knots_t = tuple(float(x) for x in knots)
+    knots_t = tuple(knots.tolist())
     return ConditionalEV(
-        ev_high=PiecewiseLinear(knots_t, tuple(float(x) for x in ev_high)),
-        ev_low=PiecewiseLinear(knots_t, tuple(float(x) for x in ev_low)),
+        ev_high=PiecewiseLinear(knots_t, tuple(ev_high.tolist())),
+        ev_low=PiecewiseLinear(knots_t, tuple(ev_low.tolist())),
     )
 
 

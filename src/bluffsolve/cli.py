@@ -7,11 +7,16 @@ precision, so identical argv (and seed) produce byte-identical output.
 Strategies are given inline ("a-type", "b-type", "m-det:T", "threshold:T:P")
 or as JSON files with keys "breakpoints" and "high_prob". The environment
 variable BLUFFSOLVE_SEED supplies a default seed; an explicit --seed wins.
+
+In-process calls of ``main`` share one argument parser, built on the first
+call: parsing reads the parser and never changes it, so each call still gets a
+fresh namespace of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -106,21 +111,26 @@ def _build_config(args: argparse.Namespace) -> GameConfig:
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{flag} must be finite, got {value!r}")
     if args.ratio is not None:
-        high, low = Fraction(args.ratio), Fraction(1)
+        bets, high, low = "--ratio", Fraction(args.ratio), Fraction(1)
     else:
+        bets = "--a/--b"
         high = Fraction(args.a) if args.a is not None else Fraction(2)
         low = Fraction(args.b) if args.b is not None else Fraction(1)
-    deck_size = None
+    try:
+        cfg = GameConfig(high, low)
+    except ConfigError as exc:
+        raise UsageError(f"{bets}: {exc}") from exc
     deck = getattr(args, "deck", "continuous")
-    if deck != "continuous":
-        try:
-            deck_size = int(deck)
-        except ValueError:
-            raise UsageError(f"--deck expects 'continuous' or an integer, got {deck!r}")
+    if deck == "continuous":
+        return cfg
+    try:
+        deck_size = int(deck)
+    except ValueError:
+        raise UsageError(f"--deck expects 'continuous' or an integer, got {deck!r}")
     try:
         return GameConfig(high, low, deck_size)
     except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--deck: {exc}") from exc
 
 
 def _default_seed(value: int | None) -> int:
@@ -169,7 +179,9 @@ def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="bluffsolve",
         description="Analysis workbench for the two-action sealed-bid poker game.",

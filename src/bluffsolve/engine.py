@@ -14,6 +14,7 @@ exact rationals throughout settlement; only expectations are floats.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,6 +29,9 @@ if TYPE_CHECKING:
 #: configuration (a settled outcome always has positive probability); exists so
 #: a degenerate state reports instead of hanging.
 MAX_CONSECUTIVE_REPLAYS = 10**6
+
+#: The largest finite float, as an exact integer.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -73,14 +77,22 @@ class GameConfig:
 def validate_config(cfg: GameConfig) -> GameConfig:
     """Check every configuration invariant; return ``cfg`` unchanged if valid.
 
-    Rejects ``low_bet <= 0``, ``high_bet <= low_bet``, and discrete decks with
-    fewer than two cards.
+    Rejects ``low_bet <= 0``, ``high_bet <= low_bet``, a ratio ``a/b`` too
+    large for a float (the closed forms evaluate it as one), and discrete decks
+    with fewer than two cards.
     """
     if cfg.low_bet <= 0:
         raise ConfigError(f"low bet must be positive, got {cfg.low_bet}")
     if cfg.high_bet <= cfg.low_bet:
         raise ConfigError(
             f"high bet must exceed low bet, got high={cfg.high_bet} low={cfg.low_bet}"
+        )
+    # a/b > _FLOAT_MAX, cross-multiplied: a Fraction division costs more
+    # than the rest of the validation together.
+    a, b = cfg.high_bet, cfg.low_bet
+    if a.numerator * b.denominator > _FLOAT_MAX * a.denominator * b.numerator:
+        raise ConfigError(
+            f"bet ratio a/b must not exceed the largest float {sys.float_info.max!r}"
         )
     if cfg.deck_size is not None:
         if not isinstance(cfg.deck_size, int) or isinstance(cfg.deck_size, bool):

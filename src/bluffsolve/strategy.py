@@ -34,8 +34,8 @@ class Strategy:
     high_prob: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in self.breakpoints))
-        object.__setattr__(self, "high_prob", tuple(float(p) for p in self.high_prob))
+        object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
+        object.__setattr__(self, "high_prob", tuple(map(float, self.high_prob)))
         _validate(self.breakpoints, self.high_prob)
 
     def high_probability(self, v: float) -> float:
@@ -69,8 +69,8 @@ class Strategy:
             if not isinstance(data[key], (list, tuple)):
                 raise StrategyError(f"{key!r} must be an array of numbers")
         try:
-            bps = tuple(float(x) for x in data["breakpoints"])
-            probs = tuple(float(p) for p in data["high_prob"])
+            bps = tuple(map(float, data["breakpoints"]))
+            probs = tuple(map(float, data["high_prob"]))
         except (TypeError, ValueError) as exc:
             raise StrategyError(f"non-numeric entry: {exc}") from exc
         return cls(breakpoints=bps, high_prob=probs)

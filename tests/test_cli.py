@@ -1,10 +1,15 @@
 """CLI surface: commands, formats, exit codes, reproducibility."""
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bluffsolve.cli import main, parse_strategy_spec
+from bluffsolve.cli import build_parser, main, parse_strategy_spec
 from bluffsolve.strategy import a_type, b_type, m_deterministic, threshold_mix
 
 
@@ -195,6 +200,8 @@ def test_bad_solver_arguments_are_usage_errors(capsys, argv):
     [
         ["equilibrium", "--a", "nan"],
         ["equilibrium", "--b", "inf"],
+        ["equilibrium", "--b", "1e-308"],
+        ["equilibrium", "--a", "1e308", "--b", "0.5"],
         ["payoff", "--s1", "a-type", "--s2", "b-type", "--ratio", "nan"],
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0"],
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0", "--schedule", "10"],
@@ -378,3 +385,186 @@ class TestUsageErrors:
     def test_json_floats_reparse_exactly(self, capsys):
         code, out, _ = run(capsys, "equilibrium", "--ratio", "2")
         assert json.loads(out)["p_star"] == 1 / 3
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        assert main(["equilibrium"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["equilibrium"], ["taxonomy"], ["payoff", "--bogus"], ["evs", "--grid", "3"]):
+            for _ in range(10):
+                main(argv)
+        assert built == []
+        assert build_parser() is build_parser()
+
+    def test_values_do_not_carry_over(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "evs", "--opponent", "a-type", "--grid", "11")
+        assert code == 0 and len(out.splitlines()) == 12
+        code, out, _ = run(capsys, "evs", "--opponent", "a-type")
+        assert code == 0 and len(out.splitlines()) == 202
+
+        simulate = ["simulate", "--s1", "a-type", "--s2", "b-type", "--hands", "10"]
+        monkeypatch.delenv("BLUFFSOLVE_SEED", raising=False)
+        assert run(capsys, *simulate, "--seed", "5")[0] == 0
+        assert json.loads(run(capsys, *simulate)[1])["seed"] == 0
+        monkeypatch.setenv("BLUFFSOLVE_SEED", "55")
+        assert run(capsys, *simulate, "--seed", "5")[0] == 0
+        assert json.loads(run(capsys, *simulate)[1])["seed"] == 55
+
+    def test_parse_error_leaves_later_calls_unchanged(self, capsys):
+        valid = ["payoff", "--ratio", "3", "--s1", "m-det:0.25", "--s2", "b-type"]
+        first = run(capsys, *valid)
+        assert first[0] == 0
+        code, out, err = run(capsys, "payoff", "--bogus")
+        assert code == 2 and out == "" and "--bogus" in err
+        assert run(capsys, *valid) == first
+
+
+# --- argv fuzz -------------------------------------------------------------
+# Argv drawn from the CLI's own vocabulary with edge values; every example
+# must exit 0, 1 or 2 without a traceback. Work is bounded per example
+# (--hands <= 10^4, --grid <= 10^3, --bins <= 64, --max-iters <= 50,
+# --deck <= 10^3) so the whole test takes a few seconds.
+
+
+def mostly(valid, edge):
+    """Draw from ``valid`` seven times in eight, else from ``edge``."""
+    return st.integers(0, 7).flatmap(lambda i: edge if i == 0 else valid)
+
+
+EDGE_NUMBERS = ("nan", "inf", "-inf", "1e308", "1e-308", "0", "-1", "1.5", "x", "")
+edge_numbers = st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats().map(repr))
+
+
+def numbers(low: float, high: float):
+    return mostly(st.floats(low, high).map(repr), edge_numbers)
+
+
+def ints(bound: int):
+    return mostly(st.integers(1, bound).map(str), edge_numbers)
+
+
+def joined(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+specs = mostly(
+    st.one_of(
+        st.sampled_from(("a-type", "b-type")),
+        st.builds("m-det:{}".format, st.floats(0.01, 0.99)),
+        st.builds("threshold:{}:{}".format, st.floats(0.01, 0.99), st.floats(0, 1)),
+    ),
+    st.one_of(
+        st.sampled_from(("threshold:0.5", "a-type:1", "m-det:", "nope", "")),
+        st.builds("m-det:{}".format, edge_numbers),
+        st.builds("threshold:{}:{}".format, edge_numbers, edge_numbers),
+    ),
+)
+# Placeholders, replaced by paths in a per-module directory.
+strategy_files = mostly(
+    st.just("{good}"), st.sampled_from(("{missing}", "{bad_json}", "{invalid}", "{not_object}", "{dir}"))
+)
+outputs = mostly(st.just("{new}"), st.sampled_from(("{unwritable}", "{dir}")))
+formats = mostly(st.sampled_from(("csv", "json")), st.just("xml"))
+decks = mostly(st.integers(2, 1000).map(str), st.one_of(st.just("continuous"), edge_numbers))
+
+GAME = {"--a": numbers(1.01, 4), "--b": numbers(0.25, 0.99), "--ratio": numbers(1.01, 4), "--out": outputs}
+PAIR = {"--s1": specs, "--s1-file": strategy_files, "--s2": specs, "--s2-file": strategy_files}
+SOLVER = {"--bins": ints(64), "--epsilon": numbers(1e-9, 0.5), "--max-iters": ints(50), "--strict": st.none()}
+OPPONENT = {"--opponent": specs, "--opponent-file": strategy_files, "--dump-strategy": outputs}
+
+#: Every flag of each subcommand, with the values to draw for it.
+FLAGS = {
+    "equilibrium": GAME,
+    "payoff": {**GAME, **PAIR},
+    "evs": {**GAME, **OPPONENT, "--grid": ints(1000), "--format": formats},
+    "best-response": {**GAME, **OPPONENT},
+    "exploit": {**GAME, "--s": specs, "--strategy-file": strategy_files, "--dump-strategy": outputs},
+    "solve": {**GAME, **SOLVER},
+    "sweep": {"--ratios": joined(numbers(1.01, 4)), "--format": formats, "--out": outputs, **SOLVER},
+    "simulate": {
+        **GAME,
+        **PAIR,
+        "--deck": decks,
+        "--hands": ints(10**4),
+        "--seed": mostly(st.integers(0, 2**70).map(str), edge_numbers),
+        "--chunk-size": ints(10**4),
+        "--schedule": joined(ints(10**4)),
+        "--format": formats,
+    },
+    "brute-force": {**GAME, **PAIR, "--deck": decks},
+    "taxonomy": {**GAME, "--format": formats},
+}
+#: Flags given on every example, one of each tuple: the ones most argv need to
+#: get past the usage checks, and the work flags whose defaults exceed the bound.
+GIVEN = {
+    "payoff": (("--s1", "--s1-file"), ("--s2", "--s2-file")),
+    "evs": (("--opponent", "--opponent-file"),),
+    "best-response": (("--opponent", "--opponent-file"),),
+    "exploit": (("--s", "--strategy-file"),),
+    "solve": (("--bins",), ("--max-iters",)),
+    "sweep": (("--ratios",), ("--bins",), ("--max-iters",)),
+    "simulate": (("--s1", "--s1-file"), ("--s2", "--s2-file"), ("--hands",)),
+    "brute-force": (("--s1", "--s1-file"), ("--s2", "--s2-file"), ("--deck",)),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    given_flags = [draw(st.sampled_from(group)) for group in GIVEN.get(command, ())]
+    others = sorted(set(flags) - set(given_flags))
+    chosen = [*given_flags, *draw(st.lists(st.sampled_from(others), unique=True, max_size=3))]
+    argv = [command]
+    for flag in chosen:
+        value = draw(flags[flag])
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    extra = draw(mostly(st.none(), st.sampled_from(("--bogus", "extra", "--help"))))
+    return argv if extra is None else [*argv, extra]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv-fuzz")
+    contents = {
+        "good": '{"breakpoints":[0.5],"high_prob":[0.25,1]}',
+        "bad_json": '{"breakpoints":',
+        "invalid": '{"breakpoints":[0.9,0.1],"high_prob":[0,0,1]}',
+        "not_object": "[0.5]",
+    }
+    paths = {}
+    for name, text in contents.items():
+        (root / f"{name}.json").write_text(text)
+        paths[f"{{{name}}}"] = str(root / f"{name}.json")
+    paths["{missing}"] = str(root / "missing.json")
+    paths["{dir}"] = str(root)
+    paths["{new}"] = str(root / "out.txt")
+    paths["{unwritable}"] = str(root / "missing" / "out.txt")
+    return paths
+
+
+@settings(max_examples=300)
+@given(argvs())
+@example(["equilibrium", "--b", "1e-308"])
+@example(["equilibrium", "--a", "1e308", "--b", "0.5"])
+def test_any_argv_exits_cleanly(fuzz_paths, argv):
+    for placeholder, path in fuzz_paths.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

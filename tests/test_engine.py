@@ -1,5 +1,6 @@
 """Engine conformance: configuration rules, dealing, settlement, full hands."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,13 @@ class TestConfig:
             GameConfig(2, 0)
         with pytest.raises(ConfigError):
             GameConfig(2, -1)
+
+    def test_ratio_beyond_the_largest_float_rejected(self):
+        largest = sys.float_info.max
+        assert GameConfig(largest, 1).ratio == largest
+        for high, low in ((2, 1e-308), (1e308, 0.5), (largest, 0.5)):
+            with pytest.raises(ConfigError, match="largest float"):
+                GameConfig(high, low)
 
     def test_degenerate_deck_rejected(self):
         with pytest.raises(ConfigError):
