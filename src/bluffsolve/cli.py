@@ -445,6 +445,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     if args.chunk_size < 1:
         raise UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
+    if cfg.deck_size is not None and cfg.deck_size > montecarlo.MAX_SIMULATED_DECK:
+        limit = montecarlo.MAX_SIMULATED_DECK.bit_length() - 1
+        raise UsageError(
+            f"--deck: a simulated deck holds at most 2**{limit} cards, got {args.deck}"
+        )
     if args.schedule is not None:
         try:
             schedule = [int(x) for x in args.schedule.split(",") if x.strip()]

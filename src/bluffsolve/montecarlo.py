@@ -16,8 +16,18 @@ versions, which summed a float payoff per hand; with non-integer bets the
 mean and standard error can differ from those in the last bits, because the
 sums are now rounded once per outcome class instead of pairwise per hand.
 A worker holds one block of ``_BLOCK`` deals at a time, so memory grows with
-the number of workers, not with the number of hands; a discrete deck adds a
-High-probability table of 8 bytes per card and seat.
+the number of workers, not with the number of hands.
+
+Each seat looks up every deal's High probability in one read-only table that
+all workers share, 8 bytes an entry. A deck of at most ``chunk_size`` cards
+has an entry per card. Any other deck, the continuous one included, has an
+entry per cell of the card value x: cell j holds j/G <= x < (j+1)/G, with G =
+``_CELLS`` a power of two, whatever the strategy. Scaling by a power of two is
+exact, so a deal's cell is exactly ``floor(x * G)``. A cell whose interior no
+breakpoint splits plays one piece throughout; a deal in a split cell searches
+the breakpoints with its own x. The result equals the binary search of every
+deal bit for bit; a strategy with about as many breakpoints as cells splits
+most cells, and most of its deals search.
 
 The brute-force oracle sums over every card pair and bet combination of a
 discrete deck in exact rational arithmetic, then conditions on the hand
@@ -43,6 +53,14 @@ DEFAULT_CHUNK_SIZE = 1 << 18
 #: Deals drawn and tallied at once: 2 MB of uniforms, so a worker's arrays
 #: stay small whatever the chunk size.
 _BLOCK = 1 << 16
+
+#: Cells of a High-probability table over the card value: a power of two,
+#: so a card value's cell is exact, and 32 KB a seat whatever the strategy.
+_CELLS = 1 << 12
+
+#: Largest deck ``simulate`` deals from: a card is ``floor(u * M)`` of a 53-bit
+#: uniform u, so most cards of a larger deck could never be dealt.
+MAX_SIMULATED_DECK = 1 << 53
 
 #: Largest deck the exact oracle will enumerate.
 MAX_ENUMERATED_DECK = 10_000
@@ -82,17 +100,36 @@ class ExactDiscreteValue:
 
 
 def _seat_tables(s: Strategy, deck: int | None, chunk_size: int) -> tuple:
-    """(breakpoints, High probabilities, per-card High table or None) of a seat.
+    """(breakpoints, High probabilities, table, cells, split) of a seat.
 
-    The table gives card i the piece that ``searchsorted`` gives its float
-    value ``i / (M - 1)``. It is built only for a deck no larger than a chunk,
-    so building it costs no more than the lookups it replaces.
+    ``_high_probability`` reads each deal's High probability from ``table``,
+    which always gives what ``pr[searchsorted(bp, x, side="right")]`` gives
+    for the card's float value x.
+
+    A deck of at most ``chunk_size`` cards has one entry per card i, whose
+    value is ``i / (M - 1)``, and ``cells`` is None; building it costs no more
+    than the lookups it replaces. Any other deck has ``cells + 1`` entries, one
+    per cell ``floor(x * cells)``; the last holds x = 1 alone. ``cells`` is
+    ``_CELLS``, a power of two, so ``x * cells`` and ``bp * cells`` are exact and a cell's
+    edges compare with x and the breakpoints exactly. A breakpoint on an edge
+    leaves both cells whole, and a whole cell plays the piece of its left edge
+    throughout. A cell with a breakpoint strictly inside holds NaN, and the
+    deals in it search ``bp`` with their own x; ``split`` says if there is one.
     """
     bp, pr = np.asarray(s.breakpoints), np.asarray(s.high_prob)
-    table = None
     if deck is not None and deck <= chunk_size:
         table = pr[np.searchsorted(bp, np.arange(deck) / (deck - 1), side="right")]
-    return bp, pr, table
+        return bp, pr, table, None, False
+    cells = _CELLS
+    scaled = bp * cells
+    # Piece k runs from the first edge at or above breakpoint k - 1 to the
+    # first edge at or above breakpoint k.
+    first = np.ceil(scaled).astype(np.intp)
+    table = np.repeat(pr, np.diff(first, prepend=0, append=cells + 1))
+    # A breakpoint off the edges splits the cell below its first edge.
+    split = first[first != scaled] - 1
+    table[split] = np.nan
+    return bp, pr, table, cells, split.size > 0
 
 
 def _cards(u: np.ndarray, deck: int | None) -> np.ndarray:
@@ -103,11 +140,19 @@ def _cards(u: np.ndarray, deck: int | None) -> np.ndarray:
 
 
 def _high_probability(cards: np.ndarray, seat: tuple, deck: int | None) -> np.ndarray:
-    bp, pr, table = seat
-    if table is not None:
-        return table[cards]
-    values = cards if deck is None else cards / (deck - 1)
-    return pr[np.searchsorted(bp, values, side="right")]
+    """High probability of each card: one table lookup, a search in split cells."""
+    bp, pr, table, cells, split = seat
+    if cells is None:
+        p = table[cards]
+    else:
+        values = cards if deck is None else cards / (deck - 1)
+        # floor(values * cells) in one pass: the cast to an integer truncates.
+        cell = np.multiply(values, cells, out=np.empty(len(values), np.intp), casting="unsafe")
+        p = table[cell]
+    if split:
+        search = np.flatnonzero(np.isnan(p))
+        p[search] = pr[np.searchsorted(bp, values[search], side="right")]
+    return p
 
 
 def _tally(u: np.ndarray, deck: int | None, seats: tuple, columns: tuple) -> np.ndarray:
@@ -191,6 +236,9 @@ def simulate(
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
     deck = cfg.deck_size
+    if deck is not None and deck > MAX_SIMULATED_DECK:
+        limit = MAX_SIMULATED_DECK.bit_length() - 1
+        raise ValueError(f"a simulated deck holds at most 2**{limit} cards, got {deck}")
     seats = (_seat_tables(s1, deck, chunk_size), _seat_tables(s2, deck, chunk_size))
     chunks = -(-hands // chunk_size)
     workers = min(chunks, _available_cores())

@@ -205,6 +205,8 @@ def test_bad_solver_arguments_are_usage_errors(capsys, argv):
         ["payoff", "--s1", "a-type", "--s2", "b-type", "--ratio", "nan"],
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0"],
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0", "--schedule", "10"],
+        ["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
+        ["simulate", "--deck", str(10**400), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
     ],
 )
 def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
@@ -560,6 +562,7 @@ def fuzz_paths(tmp_path_factory):
 @given(argvs())
 @example(["equilibrium", "--b", "1e-308"])
 @example(["equilibrium", "--a", "1e308", "--b", "0.5"])
+@example(["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

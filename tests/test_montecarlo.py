@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,9 @@ class TestSimulate:
             simulate(CFG, SIGMA, SIGMA, hands=0, seed=0)
         with pytest.raises(ValueError):
             simulate(CFG, SIGMA, SIGMA, hands=10, seed=0, chunk_size=0)
+        huge = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK + 1)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            simulate(huge, SIGMA, SIGMA, hands=10, seed=0)
 
 
 class TestCountedKernel:
@@ -93,15 +97,25 @@ class TestCountedKernel:
     @pytest.mark.parametrize("chunk_size", [1234, DEFAULT_CHUNK_SIZE])
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize(
-        "deck, grid",
+        "deck, grid, breakpoints",
         # Breakpoints on the grid i/(M-1) put cards exactly on them; M = 5001
-        # exceeds the 1234-hand chunk, so it looks pieces up by searchsorted.
-        [(None, None), (2, None), (11, 10), (1001, 1000), (5001, 1000)],
+        # exceeds the 1234-hand chunk, so it looks pieces up in a cell table
+        # over i/(M-1). The grid 1/4096 puts breakpoints on the continuous
+        # deck's cell edges; thousands of breakpoints split thousands of cells.
+        [
+            pytest.param(None, None, 6, id="None-None"),
+            pytest.param(None, 4096, 6, id="None-4096"),
+            pytest.param(None, None, 8000, id="None-dense"),
+            pytest.param(2, None, 6, id="2-None"),
+            pytest.param(11, 10, 6, id="11-10"),
+            pytest.param(1001, 1000, 6, id="1001-1000"),
+            pytest.param(5001, 1000, 6, id="5001-1000"),
+        ],
     )
-    def test_matches_payoff_array_reference(self, deck, grid, mirrored, chunk_size):
+    def test_matches_payoff_array_reference(self, deck, grid, breakpoints, mirrored, chunk_size):
         rng = np.random.default_rng([deck or 0, chunk_size])
         cfg = GameConfig(2, 1, deck_size=deck)
-        s1, s2 = random_strategy(rng, grid=grid), random_strategy(rng, grid=grid)
+        s1, s2 = (random_strategy(rng, breakpoints, grid=grid) for _ in range(2))
         hands = 10_001 if chunk_size == 1234 else chunk_size + 70_001
         args = (cfg, s1, s2)
         kwargs = dict(hands=hands, seed=deck or 1, chunk_size=chunk_size, mirrored=mirrored)
@@ -134,14 +148,46 @@ class TestCountedKernel:
         assert rev.replay_rate == est.replay_rate
 
     def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
-        cfg = GameConfig(2, 1, deck_size=11)
-        args = (cfg, SIGMA, m_deterministic(0.3))
-        kwargs = dict(hands=10_001, seed=3, chunk_size=1234)
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
-        one = simulate(*args, **kwargs)
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 3)
-        three = simulate(*args, **kwargs)
-        assert one == three == simulate_reference(*args, **kwargs)
+        # More workers than cores, switching threads as often as they can,
+        # all reading the same seat tables.
+        workers = 2 * montecarlo._available_cores() + 1
+        kwargs = dict(hands=max(10_001, 1234 * workers), seed=3, chunk_size=1234)
+        for deck in (11, None):
+            args = (GameConfig(2, 1, deck_size=deck), SIGMA, m_deterministic(0.3))
+            monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+            one = simulate(*args, **kwargs)
+            monkeypatch.setattr(montecarlo, "_available_cores", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                many = simulate(*args, **kwargs)
+            finally:
+                sys.setswitchinterval(interval)
+            assert one == many == simulate_reference(*args, **kwargs)
+
+    @pytest.mark.parametrize("grid", [None, 1000, 4096])
+    # Up to 50 000 breakpoints: far more than the table's cells, nearly all split.
+    @pytest.mark.parametrize("breakpoints", [6, 3000, 50_000])
+    def test_cell_lookup_equals_binary_search(self, grid, breakpoints):
+        rng = np.random.default_rng([grid or 0, breakpoints])
+        s = random_strategy(rng, breakpoints, grid=grid)
+        bp, pr = np.asarray(s.breakpoints), np.asarray(s.high_prob)
+        seat = montecarlo._seat_tables(s, None, DEFAULT_CHUNK_SIZE)
+        cells = seat[3]
+        x = np.concatenate([bp, np.arange(cells) / cells, [np.nextafter(1.0, 0)]])
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, 1)])
+        x = x[(x >= 0) & (x < 1)]
+        expected = pr[np.searchsorted(bp, x, side="right")]
+        assert np.array_equal(montecarlo._high_probability(x, seat, None), expected)
+
+        # A deck larger than a chunk: cards at and next to every breakpoint.
+        for deck in (5001, montecarlo.MAX_SIMULATED_DECK):
+            seat = montecarlo._seat_tables(s, deck, 1234)
+            near = np.floor(bp * (deck - 1)).astype(np.int64)
+            cards = np.concatenate([[0, deck - 1], *(near + k for k in (-1, 0, 1, 2))])
+            cards = np.clip(cards, 0, deck - 1)
+            expected = pr[np.searchsorted(bp, cards / (deck - 1), side="right")]
+            assert np.array_equal(montecarlo._high_probability(cards, seat, deck), expected)
 
     def test_one_chunk_or_one_core_starts_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
