@@ -45,8 +45,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+#: Compact JSON. A result dataclass serialises as its fields in declaration
+#: order: ``vars`` reads them without the deep copy ``dataclasses.asdict`` makes.
+_json = json.JSONEncoder(separators=(",", ":"), default=vars).encode
 
 
 def parse_strategy_spec(text: str) -> Strategy:
@@ -83,24 +84,23 @@ def _load_strategy_file(path: str) -> Strategy:
         raise UsageError(f"bad strategy file {path!r}: {exc}") from exc
 
 
-def _resolve_strategy(inline: str | None, path: str | None, flag: str) -> Strategy:
-    if (inline is None) == (path is None):
-        raise UsageError(f"exactly one of --{flag} or --{flag}-file is required")
-    return parse_strategy_spec(inline) if inline is not None else _load_strategy_file(path)
+def _strategies(args: argparse.Namespace) -> list[Strategy]:
+    """The command's strategies, each from its inline spec or its JSON file.
 
-
-def _add_game_options(p: argparse.ArgumentParser, deck: bool = False) -> None:
-    p.add_argument("--a", type=float, default=None, help="high bet (default 2)")
-    p.add_argument("--b", type=float, default=None, help="low bet (default 1)")
-    p.add_argument(
-        "--ratio", type=float, default=None, help="bet ratio a/b with b=1 (excludes --a/--b)"
-    )
-    if deck:
-        p.add_argument(
-            "--deck",
-            default="continuous",
-            help="card model: 'continuous' or a card count M >= 2",
+    ``args.strategies`` holds the parser's own (spec, file) actions, so a
+    message names only flags the command has.
+    """
+    resolved = []
+    for spec, path in getattr(args, "strategies", ()):
+        inline, file = getattr(args, spec.dest), getattr(args, path.dest)
+        if (inline is None) == (file is None):
+            raise UsageError(
+                f"exactly one of {spec.option_strings[0]} or {path.option_strings[0]} is required"
+            )
+        resolved.append(
+            parse_strategy_spec(inline) if inline is not None else _load_strategy_file(file)
         )
+    return resolved
 
 
 def _build_config(args: argparse.Namespace) -> GameConfig:
@@ -170,9 +170,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _dump_strategy(args: argparse.Namespace, s: Strategy) -> None:
-    path = getattr(args, "dump_strategy", None)
-    if path:
-        _write_file(path, s.to_json(), "dump-strategy")
+    if args.dump_strategy:
+        _write_file(args.dump_strategy, s.to_json(), "dump-strategy")
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -181,188 +180,128 @@ def _csv(header: str, rows: list[str]) -> str:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; callers must not modify it."""
+    """The CLI's parser, built once per process; callers must not modify it.
+
+    Each option group is declared once, as a parent parser, and each command
+    lists its groups in the order its help shows them.
+    """
+    group = functools.partial(argparse.ArgumentParser, add_help=False)
+
+    def strategies(*pairs: tuple[str, str]) -> argparse.ArgumentParser:
+        g = group()
+        declared = tuple((g.add_argument(spec), g.add_argument(path)) for spec, path in pairs)
+        g.set_defaults(strategies=declared)
+        return g
+
+    def formats(*choices: str, default: str | None) -> argparse.ArgumentParser:
+        g = group()
+        g.add_argument("--format", choices=choices, default=default)
+        return g
+
+    out = group()
+    out.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    game = group()
+    game.add_argument("--a", type=float, default=None, help="high bet (default 2)")
+    game.add_argument("--b", type=float, default=None, help="low bet (default 1)")
+    game.add_argument(
+        "--ratio", type=float, default=None, help="bet ratio a/b with b=1 (excludes --a/--b)"
+    )
+    deck = group()
+    deck.add_argument(
+        "--deck", default="continuous", help="card model: 'continuous' or a card count M >= 2"
+    )
+    pair = strategies(("--s1", "--s1-file"), ("--s2", "--s2-file"))
+    opponent = strategies(("--opponent", "--opponent-file"))
+    dump = group()
+    dump.add_argument("--dump-strategy", default=None)
+    solving = group()
+    solving.add_argument("--bins", type=int, default=200)
+    solving.add_argument("--epsilon", type=float, default=1e-3)
+    solving.add_argument("--max-iters", type=int, default=5000)
+    strict = group()  # its own group: sweep's usage line puts --format before it
+    strict.add_argument("--strict", action="store_true", help="exit 1 on non-convergence")
+    grid = group()
+    grid.add_argument("--grid", type=int, default=201, help="number of grid points")
+    ratios = group()
+    ratios.add_argument("--ratios", required=True, help="comma-separated ratios, e.g. 1.5,2,3")
+    hands = group()
+    hands.add_argument("--hands", type=int, default=100_000)
+    hands.add_argument("--seed", type=int, default=None)
+    hands.add_argument("--chunk-size", type=int, default=montecarlo.DEFAULT_CHUNK_SIZE)
+    hands.add_argument(
+        "--schedule",
+        default=None,
+        help="comma-separated hand counts; emits a convergence report instead",
+    )
+    csv_first = formats("csv", "json", default="csv")
+    groups = {
+        "equilibrium": [game],
+        "payoff": [game, pair],
+        "evs": [game, opponent, grid, csv_first, dump],
+        "best-response": [game, opponent, dump],
+        "exploit": [game, strategies(("--s", "--strategy-file")), dump],
+        "solve": [game, solving, strict],
+        "sweep": [ratios, solving, csv_first, strict],
+        "simulate": [game, deck, pair, hands, formats("json", "csv", default=None)],
+        "brute-force": [game, deck, pair],
+        "taxonomy": [game, formats("json", "csv", default="json")],
+    }
+
     parser = argparse.ArgumentParser(
         prog="bluffsolve",
         description="Analysis workbench for the two-action sealed-bid poker game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        return p
-
-    p = command("equilibrium", "closed-form equilibrium (t_star, p_star)")
-    _add_game_options(p)
-
-    p = command("payoff", "exact expected payoff of strategy 1 vs strategy 2")
-    _add_game_options(p)
-    p.add_argument("--s1", default=None)
-    p.add_argument("--s1-file", default=None)
-    p.add_argument("--s2", default=None)
-    p.add_argument("--s2-file", default=None)
-
-    p = command("evs", "conditional EV of each bet vs a fixed opponent, on a grid")
-    _add_game_options(p)
-    p.add_argument("--opponent", default=None)
-    p.add_argument("--opponent-file", default=None)
-    p.add_argument("--grid", type=int, default=201, help="number of grid points")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--dump-strategy", default=None)
-
-    p = command("best-response", "exact best response vs a fixed opponent")
-    _add_game_options(p)
-    p.add_argument("--opponent", default=None)
-    p.add_argument("--opponent-file", default=None)
-    p.add_argument("--dump-strategy", default=None)
-
-    p = command("exploit", "exploitability (best-response value) of a strategy")
-    _add_game_options(p)
-    p.add_argument("--s", default=None)
-    p.add_argument("--strategy-file", default=None)
-    p.add_argument("--dump-strategy", default=None)
-
-    p = command("solve", "fictitious-play equilibrium search over binned strategies")
-    _add_game_options(p)
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--strict", action="store_true", help="exit 1 on non-convergence")
-
-    p = command("sweep", "closed form plus solver verification across bet ratios")
-    p.add_argument("--ratios", required=True, help="comma-separated ratios, e.g. 1.5,2,3")
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--strict", action="store_true")
-
-    p = command("simulate", "seeded Monte Carlo estimate of the expected payoff")
-    _add_game_options(p, deck=True)
-    p.add_argument("--s1", default=None)
-    p.add_argument("--s1-file", default=None)
-    p.add_argument("--s2", default=None)
-    p.add_argument("--s2-file", default=None)
-    p.add_argument("--hands", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chunk-size", type=int, default=montecarlo.DEFAULT_CHUNK_SIZE)
-    p.add_argument(
-        "--schedule",
-        default=None,
-        help="comma-separated hand counts; emits a convergence report instead",
-    )
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p = command("brute-force", "exact expected payoff for a discrete deck")
-    _add_game_options(p, deck=True)
-    p.add_argument("--s1", default=None)
-    p.add_argument("--s1-file", default=None)
-    p.add_argument("--s2", default=None)
-    p.add_argument("--s2-file", default=None)
-
-    p = command("taxonomy", "3x3 payoff table of the named strategy types")
-    _add_game_options(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[out, *groups[name]])
     return parser
 
 
-def _pair(args: argparse.Namespace) -> tuple[Strategy, Strategy]:
-    return (
-        _resolve_strategy(args.s1, args.s1_file, "s1"),
-        _resolve_strategy(args.s2, args.s2_file, "s2"),
-    )
-
-
-def _cmd_equilibrium(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    point = analytic.closed_form_equilibrium(cfg)
-    _emit(args, _json({"t_star": point.t_star, "p_star": point.p_star}))
+def _cmd_equilibrium(args: argparse.Namespace, cfg: GameConfig) -> int:
+    _emit(args, _json(analytic.closed_form_equilibrium(cfg)))
     return 0
 
 
-def _cmd_payoff(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    s1, s2 = _pair(args)
-    result = analytic.expected_payoff(cfg, s1, s2)
-    _emit(
-        args,
-        _json(
-            {
-                "value": result.value,
-                "hh": result.hh,
-                "hl": result.hl,
-                "lh": result.lh,
-                "ll": result.ll,
-            }
-        ),
-    )
+def _cmd_payoff(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
+    _emit(args, _json(analytic.expected_payoff(cfg, s1, s2)))
     return 0
 
 
-def _cmd_evs(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    opponent = _resolve_strategy(args.opponent, args.opponent_file, "opponent")
-    _dump_strategy(args, opponent)
+def _cmd_evs(args: argparse.Namespace, cfg: GameConfig, opponent: Strategy) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid needs at least 2 points, got {args.grid}")
+    _dump_strategy(args, opponent)
     evs = analytic.conditional_evs(cfg, opponent)
     grid = np.linspace(0.0, 1.0, args.grid)
     high = evs.ev_high(grid)
     low = evs.ev_low(grid)
     if args.format == "json":
-        _emit(
-            args,
-            _json(
-                {
-                    "v": [float(x) for x in grid],
-                    "ev_high": [float(x) for x in high],
-                    "ev_low": [float(x) for x in low],
-                }
-            ),
-        )
+        _emit(args, _json({"v": grid.tolist(), "ev_high": high.tolist(), "ev_low": low.tolist()}))
     else:
         rows = [f"{_fmt(v)},{_fmt(h)},{_fmt(l)}" for v, h, l in zip(grid, high, low)]
         _emit(args, _csv("v,ev_high,ev_low", rows))
     return 0
 
 
-def _cmd_best_response(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    opponent = _resolve_strategy(args.opponent, args.opponent_file, "opponent")
+def _cmd_best_response(args: argparse.Namespace, cfg: GameConfig, opponent: Strategy) -> int:
     _dump_strategy(args, opponent)
     result = solver.best_response(cfg, opponent)
-    _emit(args, _json({"value": result.value, "strategy": result.action_rule.to_dict()}))
+    _emit(args, _json({"value": result.value, "strategy": result.action_rule}))
     return 0
 
 
-def _cmd_exploit(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    s = _resolve_strategy(args.s, args.strategy_file, "s")
+def _cmd_exploit(args: argparse.Namespace, cfg: GameConfig, s: Strategy) -> int:
     _dump_strategy(args, s)
     _emit(args, _json({"exploitability": solver.exploitability(cfg, s)}))
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+def _cmd_solve(args: argparse.Namespace, cfg: GameConfig) -> int:
     _check_solver_options(args)
     result = solver.fictitious_play(
         cfg, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
     )
-    _emit(
-        args,
-        _json(
-            {
-                "strategy": result.strategy.to_dict(),
-                "exploitability": result.exploitability,
-                "iterations": result.iterations,
-                "bin_count": result.bin_count,
-                "converged": result.converged,
-            }
-        ),
-    )
+    _emit(args, _json({k: v for k, v in vars(result).items() if k != "trace"}))
     if not result.converged:
         print(
             f"warning: not converged (exploitability {result.exploitability:.3g} "
@@ -390,22 +329,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ratios, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
     )
     if args.format == "json":
-        _emit(
-            args,
-            _json(
-                [
-                    {
-                        "ratio": r.ratio,
-                        "t_star": r.t_star,
-                        "p_star": r.p_star,
-                        "exploitability": r.exploitability,
-                        "iterations": r.iterations,
-                        "converged": r.converged,
-                    }
-                    for r in rows
-                ]
-            ),
-        )
+        _emit(args, _json(rows))
     else:
         lines = [
             f"{_fmt(r.ratio)},{_fmt(r.t_star)},{_fmt(r.p_star)},"
@@ -421,27 +345,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimate_csv_row(est: montecarlo.MCEstimate) -> str:
-    return (
-        f"{est.hands},{_fmt(est.mean)},{_fmt(est.std_error)},"
-        f"{_fmt(est.replay_rate)},{est.seed}"
-    )
-
-
-def _estimate_obj(est: montecarlo.MCEstimate) -> dict:
-    return {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "hands": est.hands,
-        "seed": est.seed,
-        "replay_rate": est.replay_rate,
-        "chunk_size": est.chunk_size,
-    }
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    s1, s2 = _pair(args)
+def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
     seed = _default_seed(args.seed)
     if args.chunk_size < 1:
         raise UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
@@ -450,59 +354,54 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--deck: a simulated deck holds at most 2**{limit} cards, got {args.deck}"
         )
-    if args.schedule is not None:
+    if args.schedule is None:
+        if args.hands < 1:
+            raise UsageError(f"--hands must be positive, got {args.hands}")
+        schedule = [args.hands]
+    else:
         try:
             schedule = [int(x) for x in args.schedule.split(",") if x.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --schedule value {args.schedule!r}: {exc}") from exc
         if not schedule or any(h < 1 for h in schedule):
             raise UsageError("--schedule needs positive hand counts")
-        report = montecarlo.convergence_report(
-            cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
-        )
-        if args.format == "json":
-            _emit(args, _json([_estimate_obj(e) for e in report]))
-        else:
-            _emit(
-                args,
-                _csv("hands,mean,std_err,replay_rate,seed", [_estimate_csv_row(e) for e in report]),
-            )
-        return 0
-    if args.hands < 1:
-        raise UsageError(f"--hands must be positive, got {args.hands}")
-    est = montecarlo.simulate(cfg, s1, s2, hands=args.hands, seed=seed, chunk_size=args.chunk_size)
-    if args.format == "csv":
-        _emit(args, _csv("hands,mean,std_err,replay_rate,seed", [_estimate_csv_row(est)]))
+    # Row k of a report runs simulate with seed + k, so one row is one plain run.
+    report = montecarlo.convergence_report(
+        cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
+    )
+    # A report is a table, CSV by default; a single estimate is JSON by default.
+    if args.format == "csv" or (args.format is None and args.schedule is not None):
+        rows = [
+            f"{e.hands},{_fmt(e.mean)},{_fmt(e.std_error)},{_fmt(e.replay_rate)},{e.seed}"
+            for e in report
+        ]
+        _emit(args, _csv("hands,mean,std_err,replay_rate,seed", rows))
     else:
-        _emit(args, _json(_estimate_obj(est)))
+        _emit(args, _json(report if args.schedule is not None else report[0]))
     return 0
 
 
-def _cmd_brute_force(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+def _cmd_brute_force(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
     if cfg.deck_size is None:
         raise UsageError("brute-force needs a discrete deck: pass --deck M (M >= 2)")
-    s1, s2 = _pair(args)
+    if cfg.deck_size > montecarlo.MAX_ENUMERATED_DECK:
+        raise UsageError(
+            f"--deck: deck of {cfg.deck_size} cards exceeds the enumeration limit "
+            f"{montecarlo.MAX_ENUMERATED_DECK}"
+        )
     try:
         result = montecarlo.brute_force_discrete(cfg, s1, s2)
     except ValueError as exc:
         raise ComputationError(str(exc)) from exc
-    _emit(
-        args,
-        _json(
-            {
-                "value": str(result.value),
-                "value_float": result.value_float,
-                "replay_probability": str(result.replay_probability),
-                "replay_probability_float": result.replay_probability_float,
-            }
-        ),
-    )
+    exact = {}
+    for name, value in vars(result).items():
+        # Each exact fraction prints as its text, then as the nearest float.
+        exact[name], exact[f"{name}_float"] = str(value), float(value)
+    _emit(args, _json(exact))
     return 0
 
 
-def _cmd_taxonomy(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+def _cmd_taxonomy(args: argparse.Namespace, cfg: GameConfig) -> int:
     table = analytic.taxonomy_table(cfg)
     if args.format == "csv":
         rows = [
@@ -519,17 +418,18 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "equilibrium": _cmd_equilibrium,
-    "payoff": _cmd_payoff,
-    "evs": _cmd_evs,
-    "best-response": _cmd_best_response,
-    "exploit": _cmd_exploit,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "brute-force": _cmd_brute_force,
-    "taxonomy": _cmd_taxonomy,
+#: Each subcommand's help line and handler, in the order ``bluffsolve --help`` lists them.
+_COMMANDS = {
+    "equilibrium": ("closed-form equilibrium (t_star, p_star)", _cmd_equilibrium),
+    "payoff": ("exact expected payoff of strategy 1 vs strategy 2", _cmd_payoff),
+    "evs": ("conditional EV of each bet vs a fixed opponent, on a grid", _cmd_evs),
+    "best-response": ("exact best response vs a fixed opponent", _cmd_best_response),
+    "exploit": ("exploitability (best-response value) of a strategy", _cmd_exploit),
+    "solve": ("PRM+ and Polyak-step equilibrium search over binned strategies", _cmd_solve),
+    "sweep": ("closed form plus solver verification across bet ratios", _cmd_sweep),
+    "simulate": ("seeded Monte Carlo estimate of the expected payoff", _cmd_simulate),
+    "brute-force": ("exact expected payoff for a discrete deck", _cmd_brute_force),
+    "taxonomy": ("3x3 payoff table of the named strategy types", _cmd_taxonomy),
 }
 
 
@@ -540,7 +440,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        # A handler takes the game the options set (sweep, which plays a list of
+        # ratios, has none), then the strategies its command reads.
+        game = [_build_config(args)] if "ratio" in args else []
+        _, handler = _COMMANDS[args.command]
+        return handler(args, *game, *_strategies(args))
     except (UsageError, ConfigError, StrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

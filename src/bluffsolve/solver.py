@@ -277,7 +277,7 @@ def ratio_sweep(
     epsilon: float = 1e-3,
     max_iters: int = 5000,
 ) -> list[RatioSweepRow]:
-    """Closed-form equilibrium plus fictitious-play verification per bet ratio.
+    """Closed-form equilibrium plus PRM+/Polyak solver verification per bet ratio.
 
     Each row carries the closed-form (t*, p*) for the ratio and the achieved
     exploitability and iteration count of the solver run (low bet fixed at 1,

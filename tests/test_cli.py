@@ -19,6 +19,88 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SIM = ["simulate", "--s1", "threshold:0.5:0.25", "--s2", "m-det:0.4", "--seed", "3"]
+SWEEP = ["sweep", "--ratios", "1.5,2", "--bins", "2", "--max-iters", "3"]
+
+#: Exact stdout of one argv per output shape.
+EXACT_OUTPUTS = [
+    (
+        ["payoff", "--ratio", "3", "--s1", "m-det:0.25", "--s2", "threshold:0.5:0.25"],
+        '{"value":-0.0625,"hh":-0.140625,"hl":0.28125,"lh":-0.15625,"ll":-0.046875}\n',
+    ),
+    (
+        ["best-response", "--ratio", "2", "--opponent", "threshold:0.5:0.25"],
+        '{"value":0.017578125,"strategy":{"breakpoints":[0.25,0.53125],"high_prob":[1.0,0.0,1.0]}}\n',
+    ),
+    (["exploit", "--ratio", "2", "--s", "m-det:0.3"], '{"exploitability":0.061250000000000145}\n'),
+    (
+        ["evs", "--opponent", "threshold:0.5:0.25", "--grid", "3"],
+        "v,ev_high,ev_low\n0,-0.875,-1\n0.5,-0.375,-0.25\n1,1.625,-0.25\n",
+    ),
+    (
+        ["evs", "--opponent", "threshold:0.5:0.25", "--grid", "3", "--format", "json"],
+        '{"v":[0.0,0.5,1.0],"ev_high":[-0.875,-0.375,1.625],"ev_low":[-1.0,-0.25,-0.25]}\n',
+    ),
+    (
+        ["solve", "--ratio", "2", "--bins", "2", "--max-iters", "5"],
+        '{"strategy":{"breakpoints":[0.5],"high_prob":[0.4514042018441994,1.0]},'
+        '"exploitability":0.02213828784578751,"iterations":5,"bin_count":2,"converged":false}\n',
+    ),
+    (
+        SWEEP,
+        "ratio,t_star,p_star,exploitability,iterations\n"
+        "1.5,0.33333333333333331,0.40000000000000002,0.041666666666666657,3\n"
+        "2,0.5,0.33333333333333331,0.026302499789579922,3\n",
+    ),
+    (
+        [*SWEEP, "--format", "json"],
+        '[{"ratio":1.5,"t_star":0.3333333333333333,"p_star":0.4,"exploitability":0.04166666666666666,'
+        '"iterations":3,"converged":false},{"ratio":2.0,"t_star":0.5,"p_star":0.3333333333333333,'
+        '"exploitability":0.026302499789579922,"iterations":3,"converged":false}]\n',
+    ),
+    (
+        [*SIM, "--hands", "1000"],
+        '{"mean":0.046,"std_error":0.04677683264258144,"hands":1000,"seed":3,"replay_rate":0.0,'
+        '"chunk_size":262144}\n',
+    ),
+    (
+        [*SIM, "--hands", "1000", "--format", "csv"],
+        "hands,mean,std_err,replay_rate,seed\n1000,0.045999999999999999,0.046776832642581437,0,3\n",
+    ),
+    (
+        [*SIM, "--schedule", "10,100"],
+        "hands,mean,std_err,replay_rate,seed\n10,0.5,0.5,0,3\n"
+        "100,-0.070000000000000007,0.14372743564669813,0,4\n",
+    ),
+    (
+        [*SIM, "--schedule", "10,100", "--format", "json"],
+        '[{"mean":0.5,"std_error":0.5,"hands":10,"seed":3,"replay_rate":0.0,"chunk_size":262144},'
+        '{"mean":-0.07,"std_error":0.14372743564669813,"hands":100,"seed":4,"replay_rate":0.0,'
+        '"chunk_size":262144}]\n',
+    ),
+    (
+        ["taxonomy", "--format", "csv"],
+        "row,col,value\na,a,0\na,b,1\na,m,0\nb,a,-1\nb,b,0\nb,m,-0.25\nm,a,0\nm,b,0.25\nm,m,0\n",
+    ),
+    (
+        ["taxonomy"],
+        '{"a":{"a":0.0,"b":1.0,"m":0.0},"b":{"a":-1.0,"b":0.0,"m":-0.25},"m":{"a":0.0,"b":0.25,"m":0.0}}\n',
+    ),
+    (
+        ["brute-force", "--deck", "5", "--s1", "a-type", "--s2", "a-type"],
+        '{"value":"0","value_float":0.0,"replay_probability":"1/5","replay_probability_float":0.2}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", EXACT_OUTPUTS, ids=[" ".join(argv) for argv, _ in EXACT_OUTPUTS]
+)
+def test_exact_stdout(capsys, argv, stdout):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, stdout)
+
+
 class TestStrategySpecs:
     def test_named_forms(self):
         assert parse_strategy_spec("a-type") == a_type()
@@ -105,6 +187,12 @@ class TestExploitCommand:
         assert code == 2
         assert "strictly increasing" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--s", "a-type", "--strategy-file", "unread.json"]])
+    def test_needs_exactly_one_strategy(self, capsys, flags):
+        code, out, err = run(capsys, "exploit", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: exactly one of --s or --strategy-file is required\n"
+
 
 class TestEvsCommand:
     def test_grid_csv(self, capsys):
@@ -135,6 +223,15 @@ class TestEvsCommand:
         assert data["v"] == [0.0, 0.5, 1.0]
         assert data["ev_high"] == [-2.0, 0.0, 2.0]
         assert data["ev_low"] == [-1.0, -1.0, -1.0]
+
+    def test_bad_grid_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "opponent.json"
+        code, out, err = run(
+            capsys, "evs", "--opponent", "a-type", "--grid", "1", "--dump-strategy", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --grid")
+        assert not path.exists()
 
 
 class TestBestResponseCommand:
@@ -207,6 +304,7 @@ def test_bad_solver_arguments_are_usage_errors(capsys, argv):
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0", "--schedule", "10"],
         ["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
         ["simulate", "--deck", str(10**400), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
+        ["brute-force", "--deck", "20000", "--s1", "a-type", "--s2", "a-type"],
     ],
 )
 def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
@@ -516,6 +614,14 @@ GIVEN = {
     "simulate": (("--s1", "--s1-file"), ("--s2", "--s2-file"), ("--hands",)),
     "brute-force": (("--s1", "--s1-file"), ("--s2", "--s2-file"), ("--deck",)),
 }
+
+
+def test_fuzz_draws_every_flag_of_the_parser():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(FLAGS)
+    for command, parser in subparsers.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == set(FLAGS[command]), command
 
 
 @st.composite
