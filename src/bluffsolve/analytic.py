@@ -5,7 +5,9 @@ integrals of the settlement rule over independent uniform cards and the
 players' bet randomizations. On the refined common breakpoint grid the
 integrand is constant per cell except for the card-comparison sign, whose
 integral is zero inside a diagonal cell and +/-1 times the cell area off the
-diagonal, so the whole expectation reduces to weighted prefix sums.
+diagonal, so the whole expectation reduces to weighted prefix sums. The same
+payoff kernel weighs each piece by its card count instead of its length to
+give the exact value of a discrete deck (``montecarlo.brute_force_discrete``).
 """
 
 from __future__ import annotations
@@ -71,29 +73,37 @@ class EquilibriumPoint:
 
 def _common_grid(s1: Strategy, s2: Strategy):
     r1, r2 = refine(s1, s2)
-    knots = np.array((0.0, *r1.breakpoints, 1.0))
-    return knots, np.array(r1.high_prob), np.array(r2.high_prob)
+    lengths = np.diff(np.array((0.0, *r1.breakpoints, 1.0)))
+    return lengths, np.array(r1.high_prob), np.array(r2.high_prob)
 
 
-def _sign_weighted_sum(x: np.ndarray, y: np.ndarray) -> float:
-    # sum_{i,j} x_i y_j sgn(i - j): pair each cell with the mass strictly
-    # below minus the mass strictly above it.
-    below = np.concatenate(([0.0], np.cumsum(y)[:-1]))
+def _sign_weighted_sum(x: np.ndarray, y: np.ndarray):
+    # sum_{i,j} x_i y_j sgn(i - j): pair each piece with the weight strictly
+    # below minus the weight strictly above it. The integer zero keeps an
+    # object array of Fractions exact and gives 0.0 in a float array.
+    below = np.cumsum(y)
+    below[1:] = below[:-1]
+    below[0] = 0
     above = y.sum() - below - y
-    return float(np.dot(x, below - above))
+    return np.dot(x, below - above)
 
 
 def _payoff_terms(
-    a: float, b: float, knots: np.ndarray, h1: np.ndarray, h2: np.ndarray
+    a: float, b: float, weights: np.ndarray, h1: np.ndarray, h2: np.ndarray
 ) -> PayoffValue:
-    """Expected payoff of curve ``h1`` vs ``h2``, both given per piece of ``knots``."""
-    lengths = np.diff(knots)
-    w1h, w1l = lengths * h1, lengths * (1.0 - h1)
-    w2h, w2l = lengths * h2, lengths * (1.0 - h2)
+    """Payoff of curve ``h1`` vs ``h2``, both given per piece, summed over ``weights``.
+
+    Piece lengths (floats) give the continuous deck's expected payoff; card
+    counts with Fraction bets and curves (object arrays) give a discrete
+    deck's exact payoff summed over card pairs, in Fractions.
+    """
+    w1h, w1l = weights * h1, weights * (1 - h1)
+    w2h, w2l = weights * h2, weights * (1 - h2)
     hh = a * _sign_weighted_sum(w1h, w2h)
-    hl = b * float(w1h.sum()) * float(w2l.sum())
-    lh = -b * float(w1l.sum()) * float(w2h.sum())
+    hl = b * w1h.sum() * w2l.sum()
+    lh = -b * w1l.sum() * w2h.sum()
     ll = b * _sign_weighted_sum(w1l, w2l)
+    hh, hl, lh, ll = np.array((hh, hl, lh, ll)).tolist()
     return PayoffValue(value=hh + hl + lh + ll, hh=hh, hl=hl, lh=lh, ll=ll)
 
 

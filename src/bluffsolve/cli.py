@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError, StrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
+    except (ComputationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

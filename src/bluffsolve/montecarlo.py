@@ -19,9 +19,9 @@ A worker holds one block of ``_BLOCK`` deals at a time, so memory grows with
 the number of workers, not with the number of hands.
 
 Each seat looks up every deal's High probability in one read-only table that
-all workers share, 8 bytes an entry. A deck of at most ``chunk_size`` cards
-has an entry per card. Any other deck, the continuous one included, has an
-entry per cell of the card value x: cell j holds j/G <= x < (j+1)/G, with G =
+all workers share, 8 bytes an entry. A deck of at most ``_CELLS`` cards has
+an entry per card. Any other deck, the continuous one included, has an entry
+per cell of the card value x: cell j holds j/G <= x < (j+1)/G, with G =
 ``_CELLS`` a power of two, whatever the strategy. Scaling by a power of two is
 exact, so a deal's cell is exactly ``floor(x * G)``. A cell whose interior no
 breakpoint splits plays one piece throughout; a deal in a split cell searches
@@ -29,24 +29,26 @@ the breakpoints with its own x. The result equals the binary search of every
 deal bit for bit; a strategy with about as many breakpoints as cells splits
 most cells, and most of its deals search.
 
-The brute-force oracle sums over every card pair and bet combination of a
-discrete deck in exact rational arithmetic, then conditions on the hand
-settling: E = E[payoff on settled deals] / (1 - P(replay)).
+The brute-force oracle gives the exact value of a discrete deck: the payoff
+of every card pair and bet combination in rational arithmetic, conditioned
+on the hand settling: E = E[payoff on settled deals] / (1 - P(replay)). It
+runs ``analytic``'s payoff kernel over the card count of each piece of the
+two strategies, so its cost grows with the pieces, not with the deck.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .analytic import _payoff_terms
 from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
-from .strategy import Strategy
+from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
 
@@ -56,6 +58,7 @@ _BLOCK = 1 << 16
 
 #: Cells of a High-probability table over the card value: a power of two,
 #: so a card value's cell is exact, and 32 KB a seat whatever the strategy.
+#: A deck of at most this many cards has a table entry per card instead.
 _CELLS = 1 << 12
 
 #: Largest deck ``simulate`` deals from: a card is ``floor(u * M)`` of a 53-bit
@@ -99,25 +102,25 @@ class ExactDiscreteValue:
         return float(self.replay_probability)
 
 
-def _seat_tables(s: Strategy, deck: int | None, chunk_size: int) -> tuple:
+def _seat_tables(s: Strategy, deck: int | None) -> tuple:
     """(breakpoints, High probabilities, table, cells, split) of a seat.
 
     ``_high_probability`` reads each deal's High probability from ``table``,
     which always gives what ``pr[searchsorted(bp, x, side="right")]`` gives
     for the card's float value x.
 
-    A deck of at most ``chunk_size`` cards has one entry per card i, whose
-    value is ``i / (M - 1)``, and ``cells`` is None; building it costs no more
-    than the lookups it replaces. Any other deck has ``cells + 1`` entries, one
-    per cell ``floor(x * cells)``; the last holds x = 1 alone. ``cells`` is
-    ``_CELLS``, a power of two, so ``x * cells`` and ``bp * cells`` are exact and a cell's
-    edges compare with x and the breakpoints exactly. A breakpoint on an edge
+    A deck of at most ``_CELLS`` cards has one entry per card i, whose value
+    is ``i / (M - 1)``, and ``cells`` is None. Any other deck has ``cells + 1``
+    entries, one per cell ``floor(x * cells)``; the last holds x = 1 alone.
+    ``cells`` is ``_CELLS``, a power of two, so ``x * cells`` and
+    ``bp * cells`` are exact and a cell's edges compare with x and the
+    breakpoints exactly. A breakpoint on an edge
     leaves both cells whole, and a whole cell plays the piece of its left edge
     throughout. A cell with a breakpoint strictly inside holds NaN, and the
     deals in it search ``bp`` with their own x; ``split`` says if there is one.
     """
     bp, pr = np.asarray(s.breakpoints), np.asarray(s.high_prob)
-    if deck is not None and deck <= chunk_size:
+    if deck is not None and deck <= _CELLS:
         table = pr[np.searchsorted(bp, np.arange(deck) / (deck - 1), side="right")]
         return bp, pr, table, None, False
     cells = _CELLS
@@ -239,7 +242,7 @@ def simulate(
     if deck is not None and deck > MAX_SIMULATED_DECK:
         limit = MAX_SIMULATED_DECK.bit_length() - 1
         raise ValueError(f"a simulated deck holds at most 2**{limit} cards, got {deck}")
-    seats = (_seat_tables(s1, deck, chunk_size), _seat_tables(s2, deck, chunk_size))
+    seats = (_seat_tables(s1, deck), _seat_tables(s2, deck))
     chunks = -(-hands // chunk_size)
     workers = min(chunks, _available_cores())
 
@@ -278,54 +281,35 @@ def simulate(
     )
 
 
-def _exact_piece_values(s: Strategy, grid: list[Fraction]) -> list[Fraction]:
-    # Exact comparisons: grid points are rationals, breakpoints exact floats.
-    return [Fraction(s.high_prob[bisect_right(s.breakpoints, x)]) for x in grid]
-
-
-def _sign_weighted_sum(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
-    total = sum(ys, Fraction(0))
-    running = Fraction(0)
-    acc = Fraction(0)
-    for x, y in zip(xs, ys):
-        above = total - running - y
-        acc += x * (running - above)
-        running += y
-    return acc
-
-
 def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDiscreteValue:
-    """Exact expected payoff over a discrete deck, by full enumeration.
+    """Exact expected payoff over a discrete deck, from card counts per piece.
 
-    Every one of the M^2 equally likely card pairs contributes its four bet
-    combinations with exact rational probabilities; pairwise card-comparison
-    terms are accumulated with prefix sums so decks up to M = 10^4 stay fast.
+    Card i is the exact rational i/(M-1). Both curves are constant on each
+    piece of their merged breakpoints, so within a piece the pairs of
+    different cards cancel in the card comparison and only a card against
+    itself replays: the payoff kernel of ``analytic`` over the exact card
+    count of each piece gives the sum over all M^2 equally likely card
+    pairs, in rational arithmetic and in O(pieces).
     """
     m = cfg.deck_size
     if m is None:
         raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
     if m > MAX_ENUMERATED_DECK:
         raise ValueError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
-    a, b = cfg.high_bet, cfg.low_bet
-    grid = [Fraction(i, m - 1) for i in range(m)]
-    p1 = _exact_piece_values(s1, grid)
-    p2 = _exact_piece_values(s2, grid)
-    one = Fraction(1)
-    q1 = [one - p for p in p1]
-    q2 = [one - p for p in p2]
-
-    hh = a * _sign_weighted_sum(p1, p2)
-    ll = b * _sign_weighted_sum(q1, q2)
-    hl = b * sum(p1, Fraction(0)) * sum(q2, Fraction(0))
-    lh = -b * sum(q1, Fraction(0)) * sum(p2, Fraction(0))
-    settled_sum = hh + hl + lh + ll
-
-    replay_sum = sum((x * y + (one - x) * (one - y) for x, y in zip(p1, p2)), Fraction(0))
+    grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
+    # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
+    below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]
+    counts = np.diff(np.array([0, *below, m], dtype=object))
+    p1, p2 = (
+        np.array([Fraction(p) for p in probabilities_on(s.breakpoints, s.high_prob, grid).tolist()])
+        for s in (s1, s2)
+    )
+    settled_sum = _payoff_terms(cfg.high_bet, cfg.low_bet, counts, p1, p2).value
     pairs = Fraction(m * m)
-    replay_probability = replay_sum / pairs
+    replay_probability = np.dot(counts, p1 * p2 + (1 - p1) * (1 - p2)) / pairs
     if replay_probability == 1:
         raise ValueError("every deal replays; the configured game never settles")
-    value = (settled_sum / pairs) / (one - replay_probability)
+    value = (settled_sum / pairs) / (1 - replay_probability)
     return ExactDiscreteValue(value=value, replay_probability=replay_probability)
 
 

@@ -5,20 +5,29 @@ from dense two-dimensional Riemann sums or adaptive quadrature over the
 defining integrals, conditional EVs from adaptive quadrature, and finite
 decks from a literal loop over every card pair and bet combination through
 the settlement rule. None of them refine breakpoint grids or use prefix sums.
-``simulate_reference`` is the Monte Carlo simulator that fills a payoff array
-per chunk and sums it, run one chunk after another.
+Two are earlier versions of production code, kept as references for the
+faster code that replaced them: ``simulate_reference``, the Monte Carlo
+simulator that fills a payoff array per chunk and sums it, run one chunk
+after another, and ``brute_force_reference``, the exact discrete-deck value
+summed card by card with prefix sums in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
 from bluffsolve.engine import MAX_CONSECUTIVE_REPLAYS, BetAction, Card, GameConfig, settle
-from bluffsolve.montecarlo import DEFAULT_CHUNK_SIZE, MCEstimate
+from bluffsolve.montecarlo import (
+    DEFAULT_CHUNK_SIZE,
+    MAX_ENUMERATED_DECK,
+    ExactDiscreteValue,
+    MCEstimate,
+)
 from bluffsolve.strategy import Strategy
 
 
@@ -208,3 +217,55 @@ def simulate_reference(
         replay_rate=replays / (hands + replays),
         chunk_size=chunk_size,
     )
+
+
+def _exact_piece_values(s: Strategy, grid: list[Fraction]) -> list[Fraction]:
+    # Exact comparisons: grid points are rationals, breakpoints exact floats.
+    return [Fraction(s.high_prob[bisect_right(s.breakpoints, x)]) for x in grid]
+
+
+def _sign_weighted_sum(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
+    total = sum(ys, Fraction(0))
+    running = Fraction(0)
+    acc = Fraction(0)
+    for x, y in zip(xs, ys):
+        above = total - running - y
+        acc += x * (running - above)
+        running += y
+    return acc
+
+
+def brute_force_reference(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDiscreteValue:
+    """``montecarlo.brute_force_discrete`` summed over every card.
+
+    Card i is the exact rational i/(M-1). Every one of the M^2 equally likely
+    card pairs contributes its four bet combinations with exact rational
+    probabilities; pairwise card-comparison terms are accumulated with
+    prefix sums over the M cards.
+    """
+    m = cfg.deck_size
+    if m is None:
+        raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
+    if m > MAX_ENUMERATED_DECK:
+        raise ValueError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
+    a, b = cfg.high_bet, cfg.low_bet
+    grid = [Fraction(i, m - 1) for i in range(m)]
+    p1 = _exact_piece_values(s1, grid)
+    p2 = _exact_piece_values(s2, grid)
+    one = Fraction(1)
+    q1 = [one - p for p in p1]
+    q2 = [one - p for p in p2]
+
+    hh = a * _sign_weighted_sum(p1, p2)
+    ll = b * _sign_weighted_sum(q1, q2)
+    hl = b * sum(p1, Fraction(0)) * sum(q2, Fraction(0))
+    lh = -b * sum(q1, Fraction(0)) * sum(p2, Fraction(0))
+    settled_sum = hh + hl + lh + ll
+
+    replay_sum = sum((x * y + (one - x) * (one - y) for x, y in zip(p1, p2)), Fraction(0))
+    pairs = Fraction(m * m)
+    replay_probability = replay_sum / pairs
+    if replay_probability == 1:
+        raise ValueError("every deal replays; the configured game never settles")
+    value = (settled_sum / pairs) / (one - replay_probability)
+    return ExactDiscreteValue(value=value, replay_probability=replay_probability)

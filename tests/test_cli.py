@@ -322,6 +322,15 @@ def test_unwritable_output_paths_are_usage_errors(capsys, tmp_path, argv):
     assert_usage_error(capsys, [*argv, str(tmp_path / "missing" / "file")])
 
 
+def test_out_of_memory_is_a_computation_error(capsys):
+    # 10^15 grid points would take 7 PiB.
+    code, out, err = run(capsys, "evs", "--opponent", "a-type", "--grid", str(10**15))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def assert_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -669,6 +678,9 @@ def fuzz_paths(tmp_path_factory):
 @example(["equilibrium", "--b", "1e-308"])
 @example(["equilibrium", "--a", "1e308", "--b", "0.5"])
 @example(["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"])
+@example(["solve", "--ratio", "1e308", "--bins", "2", "--max-iters", "5"])
+@example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
+@example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

@@ -20,7 +20,12 @@ from bluffsolve.montecarlo import (
 )
 from bluffsolve.strategy import a_type, b_type, m_deterministic, threshold_mix
 
-from .oracles import enumerate_discrete, random_strategy, simulate_reference
+from .oracles import (
+    brute_force_reference,
+    enumerate_discrete,
+    random_strategy,
+    simulate_reference,
+)
 
 CFG = GameConfig(2, 1)
 SIGMA = threshold_mix(0.5, 1 / 3)
@@ -90,6 +95,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             simulate(huge, SIGMA, SIGMA, hands=10, seed=0)
 
+    def test_chunk_size_does_not_size_the_seat_tables(self):
+        # A table entry per card of this deck would take 8 PB a seat.
+        cfg = GameConfig(2, 1, deck_size=10**15)
+        est = simulate(cfg, a_type(), b_type(), hands=1, seed=0, chunk_size=10**15)
+        assert est.mean == 1.0
+        assert est.chunk_size == 10**15
+
 
 class TestCountedKernel:
     """``simulate`` tallies outcome classes; the reference sums payoff arrays."""
@@ -99,7 +111,7 @@ class TestCountedKernel:
     @pytest.mark.parametrize(
         "deck, grid, breakpoints",
         # Breakpoints on the grid i/(M-1) put cards exactly on them; M = 5001
-        # exceeds the 1234-hand chunk, so it looks pieces up in a cell table
+        # exceeds the table's cells, so it looks pieces up in a cell table
         # over i/(M-1). The grid 1/4096 puts breakpoints on the continuous
         # deck's cell edges; thousands of breakpoints split thousands of cells.
         [
@@ -172,7 +184,7 @@ class TestCountedKernel:
         rng = np.random.default_rng([grid or 0, breakpoints])
         s = random_strategy(rng, breakpoints, grid=grid)
         bp, pr = np.asarray(s.breakpoints), np.asarray(s.high_prob)
-        seat = montecarlo._seat_tables(s, None, DEFAULT_CHUNK_SIZE)
+        seat = montecarlo._seat_tables(s, None)
         cells = seat[3]
         x = np.concatenate([bp, np.arange(cells) / cells, [np.nextafter(1.0, 0)]])
         x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, 1)])
@@ -180,9 +192,9 @@ class TestCountedKernel:
         expected = pr[np.searchsorted(bp, x, side="right")]
         assert np.array_equal(montecarlo._high_probability(x, seat, None), expected)
 
-        # A deck larger than a chunk: cards at and next to every breakpoint.
+        # A deck of more cards than cells: cards at and next to every breakpoint.
         for deck in (5001, montecarlo.MAX_SIMULATED_DECK):
-            seat = montecarlo._seat_tables(s, deck, 1234)
+            seat = montecarlo._seat_tables(s, deck)
             near = np.floor(bp * (deck - 1)).astype(np.int64)
             cards = np.concatenate([[0, deck - 1], *(near + k for k in (-1, 0, 1, 2))])
             cards = np.clip(cards, 0, deck - 1)
@@ -232,6 +244,20 @@ class TestBruteForceDiscrete:
                 result = brute_force_discrete(cfg, s1, s2)
                 assert result.value == value
                 assert result.replay_probability == replay
+
+    @pytest.mark.parametrize("cuts", ["cards", "half-cards", "off-grid"])
+    @pytest.mark.parametrize(
+        "deck", [2, 11, 1001, 10_000, *np.random.default_rng(12).integers(3, 1200, 3).tolist()]
+    )
+    def test_matches_per_card_reference(self, deck, cuts):
+        # Breakpoints on the cards i/(M-1) and halfway between them put the
+        # exact cards on, next to and between the cuts of the count per piece.
+        rng = np.random.default_rng(deck)
+        grid = {"cards": deck - 1, "half-cards": 2 * (deck - 1), "off-grid": None}[cuts]
+        cfg = GameConfig(3, 2, deck_size=deck)
+        for _ in range(1 if deck > 2000 else 3):
+            s1, s2 = (random_strategy(rng, 6, grid=grid) for _ in range(2))
+            assert brute_force_discrete(cfg, s1, s2) == brute_force_reference(cfg, s1, s2)
 
     def test_converges_to_continuous_value(self):
         continuous = expected_payoff(CFG, SIGMA, m_deterministic(0.25)).value
