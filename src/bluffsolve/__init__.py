@@ -15,7 +15,6 @@ from .analytic import (
     expected_payoff,
     indifference_bluff,
     indifference_threshold,
-    response_value,
     taxonomy_table,
 )
 from .engine import (
@@ -24,8 +23,6 @@ from .engine import (
     ConfigError,
     GameConfig,
     Settlement,
-    deal,
-    play_hand,
     settle,
     validate_config,
 )
@@ -79,17 +76,14 @@ __all__ = [
     "closed_form_equilibrium",
     "conditional_evs",
     "convergence_report",
-    "deal",
     "expected_payoff",
     "exploitability",
     "fictitious_play",
     "indifference_bluff",
     "indifference_threshold",
     "m_deterministic",
-    "play_hand",
     "ratio_sweep",
     "refine",
-    "response_value",
     "settle",
     "simulate",
     "taxonomy_table",

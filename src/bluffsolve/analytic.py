@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GameConfig
-from .strategy import Strategy, a_type, b_type, m_deterministic, probabilities_on, refine
+from .strategy import Strategy, a_type, b_type, m_deterministic, refine
 
 #: Row/column order of the strategy-type payoff table.
 TAXONOMY_KEYS = ("a", "b", "m")
@@ -151,22 +151,6 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
         ev_high=PiecewiseLinear(knots_t, tuple(ev_high.tolist())),
         ev_low=PiecewiseLinear(knots_t, tuple(ev_low.tolist())),
     )
-
-
-def response_value(s: Strategy, evs: ConditionalEV) -> float:
-    """Expected payoff of playing ``s`` against the opponent behind ``evs``.
-
-    Integrates h(v) ev_high(v) + (1-h(v)) ev_low(v) exactly: per merged piece
-    the weight is constant and each EV linear, so the trapezoid rule is exact.
-    """
-    knots = np.array(sorted({*evs.ev_high.knots, *evs.ev_low.knots, *s.breakpoints, 0.0, 1.0}))
-    high = evs.ev_high(knots)
-    low = evs.ev_low(knots)
-    lengths = np.diff(knots)
-    h = probabilities_on(s.breakpoints, s.high_prob, knots[1:-1])
-    avg_high = (high[:-1] + high[1:]) / 2.0
-    avg_low = (low[:-1] + low[1:]) / 2.0
-    return float(np.sum(lengths * (h * avg_high + (1.0 - h) * avg_low)))
 
 
 def indifference_threshold(p: float, ratio: float) -> float:

@@ -349,11 +349,6 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
     seed = _default_seed(args.seed)
     if args.chunk_size < 1:
         raise UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
-    if cfg.deck_size is not None and cfg.deck_size > montecarlo.MAX_SIMULATED_DECK:
-        limit = montecarlo.MAX_SIMULATED_DECK.bit_length() - 1
-        raise UsageError(
-            f"--deck: a simulated deck holds at most 2**{limit} cards, got {args.deck}"
-        )
     if args.schedule is None:
         if args.hands < 1:
             raise UsageError(f"--hands must be positive, got {args.hands}")
@@ -366,9 +361,12 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
         if not schedule or any(h < 1 for h in schedule):
             raise UsageError("--schedule needs positive hand counts")
     # Row k of a report runs simulate with seed + k, so one row is one plain run.
-    report = montecarlo.convergence_report(
-        cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
-    )
+    try:
+        report = montecarlo.convergence_report(
+            cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
+        )
+    except ConfigError as exc:
+        raise UsageError(f"--deck: {exc}") from exc
     # A report is a table, CSV by default; a single estimate is JSON by default.
     if args.format == "csv" or (args.format is None and args.schedule is not None):
         rows = [
@@ -384,13 +382,10 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
 def _cmd_brute_force(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
     if cfg.deck_size is None:
         raise UsageError("brute-force needs a discrete deck: pass --deck M (M >= 2)")
-    if cfg.deck_size > montecarlo.MAX_ENUMERATED_DECK:
-        raise UsageError(
-            f"--deck: deck of {cfg.deck_size} cards exceeds the enumeration limit "
-            f"{montecarlo.MAX_ENUMERATED_DECK}"
-        )
     try:
         result = montecarlo.brute_force_discrete(cfg, s1, s2)
+    except ConfigError as exc:
+        raise UsageError(f"--deck: {exc}") from exc
     except ValueError as exc:
         raise ComputationError(str(exc)) from exc
     exact = {}

@@ -1,4 +1,4 @@
-"""Core game definition: configuration, dealing, settlement, and single hands.
+"""Core game definition: configuration and settlement.
 
 The game is a symmetric two-player zero-sum sealed-bid contest. Each player
 privately draws a card value in [0, 1], both simultaneously wager High (a) or
@@ -18,12 +18,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-if TYPE_CHECKING:
-    from .strategy import Strategy
 
 #: Hard cap on consecutive replays in a single hand. Unreachable for any valid
 #: configuration (a settled outcome always has positive probability); exists so
@@ -139,16 +133,6 @@ class Settlement:
 REPLAY = Settlement(winner=None, net=None)
 
 
-def deal(cfg: GameConfig, rng: np.random.Generator) -> tuple[Card, Card]:
-    """Draw one card per player, independently, from the configured model."""
-    if cfg.deck_size is None:
-        return Card(float(rng.random())), Card(float(rng.random()))
-    m = cfg.deck_size
-    i = int(rng.integers(0, m))
-    j = int(rng.integers(0, m))
-    return Card(i / (m - 1)), Card(j / (m - 1))
-
-
 def settle(
     cfg: GameConfig, card1: Card, card2: Card, bet1: BetAction, bet2: BetAction
 ) -> Settlement:
@@ -161,25 +145,3 @@ def settle(
         return REPLAY
     net = cfg.high_bet if bet1 == BetAction.HIGH else cfg.low_bet
     return Settlement(winner=1 if card1.value > card2.value else 2, net=net)
-
-
-def play_hand(
-    cfg: GameConfig,
-    s1: Strategy,
-    s2: Strategy,
-    rng: np.random.Generator,
-    max_replays: int = MAX_CONSECUTIVE_REPLAYS,
-) -> Fraction:
-    """Play one settled hand and return player 1's exact net payoff.
-
-    Replays restart the hand completely: fresh cards and fresh bets. Identical
-    (cfg, strategies, seed) produce identical hand sequences.
-    """
-    for _ in range(max_replays):
-        card1, card2 = deal(cfg, rng)
-        bet1 = s1.sample_action(card1.value, rng)
-        bet2 = s2.sample_action(card2.value, rng)
-        outcome = settle(cfg, card1, card2, bet1, bet2)
-        if not outcome.is_replay:
-            return outcome.payoff_to_player1()
-    raise RuntimeError(f"hand failed to settle within {max_replays} replays")

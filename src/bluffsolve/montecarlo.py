@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import _payoff_terms
-from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
+from .engine import MAX_CONSECUTIVE_REPLAYS, ConfigError, GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
@@ -233,7 +233,10 @@ def simulate(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     mirrored: bool = False,
 ) -> MCEstimate:
-    """Estimate player 1's expected payoff from ``hands`` settled hands."""
+    """Estimate player 1's expected payoff from ``hands`` settled hands.
+
+    Raises ``ConfigError`` for a deck of more than ``MAX_SIMULATED_DECK`` cards.
+    """
     if hands < 1:
         raise ValueError(f"need at least one hand, got {hands}")
     if chunk_size < 1:
@@ -241,7 +244,7 @@ def simulate(
     deck = cfg.deck_size
     if deck is not None and deck > MAX_SIMULATED_DECK:
         limit = MAX_SIMULATED_DECK.bit_length() - 1
-        raise ValueError(f"a simulated deck holds at most 2**{limit} cards, got {deck}")
+        raise ConfigError(f"a simulated deck holds at most 2**{limit} cards, got {deck}")
     seats = (_seat_tables(s1, deck), _seat_tables(s2, deck))
     chunks = -(-hands // chunk_size)
     workers = min(chunks, _available_cores())
@@ -289,13 +292,14 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     different cards cancel in the card comparison and only a card against
     itself replays: the payoff kernel of ``analytic`` over the exact card
     count of each piece gives the sum over all M^2 equally likely card
-    pairs, in rational arithmetic and in O(pieces).
+    pairs, in rational arithmetic and in O(pieces). Raises ``ConfigError``
+    for a deck of more than ``MAX_ENUMERATED_DECK`` cards.
     """
     m = cfg.deck_size
     if m is None:
         raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
     if m > MAX_ENUMERATED_DECK:
-        raise ValueError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
+        raise ConfigError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
     grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
     # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
     below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]

@@ -107,11 +107,12 @@ def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
     """Pointwise argmax of the piecewise-linear EV gap ``d`` (ties bet High)."""
     # A piece whose ends differ in sign holds one root; rounding may put it
     # on a knot, and then it adds no cut. Keep the root's operation order:
-    # the solver's outputs are pinned bit for bit. At huge bet ratios the
-    # product may overflow to an infinity, whose sign is still right.
+    # the solver's outputs are pinned bit for bit. The ends' signs are
+    # multiplied, not the ends: a product of tiny gaps underflows to zero
+    # and would drop the root, and one of huge gaps overflows.
     k0, k1, d0, d1 = knots[:-1], knots[1:], d[:-1], d[1:]
-    with np.errstate(over="ignore"):
-        crossing = np.flatnonzero(d0 * d1 < 0.0)
+    sign = np.sign(d)
+    crossing = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     k0, k1, d0, d1 = k0[crossing], k1[crossing], d0[crossing], d1[crossing]
     roots = k0 + (k1 - k0) * d0 / (d0 - d1)
     cuts = np.sort(np.concatenate((knots, roots[(k0 < roots) & (roots < k1)])))

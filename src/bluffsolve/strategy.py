@@ -21,8 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from .engine import BetAction
-
 
 class StrategyError(ValueError):
     """Structurally invalid strategy data (bad shape, range, or ordering)."""
@@ -43,11 +41,6 @@ class Strategy:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"card value must lie in [0, 1], got {v!r}")
         return self.high_prob[bisect_right(self.breakpoints, v)]
-
-    def sample_action(self, v: float, rng: np.random.Generator) -> BetAction:
-        """Draw High with probability ``high_probability(v)``, else Low."""
-        p = self.high_probability(v)
-        return BetAction.HIGH if rng.random() < p else BetAction.LOW
 
     def mean_high_probability(self) -> float:
         """Unconditional probability of a High bet under a uniform card."""

@@ -5,11 +5,12 @@ from dense two-dimensional Riemann sums or adaptive quadrature over the
 defining integrals, conditional EVs from adaptive quadrature, and finite
 decks from a literal loop over every card pair and bet combination through
 the settlement rule. None of them refine breakpoint grids or use prefix sums.
-Two are earlier versions of production code, kept as references for the
-faster code that replaced them: ``simulate_reference``, the Monte Carlo
-simulator that fills a payoff array per chunk and sums it, run one chunk
-after another, and ``brute_force_reference``, the exact discrete-deck value
-summed card by card with prefix sums in rational arithmetic.
+Three are earlier versions of production code, kept as references for the
+code they check: ``simulate_reference``, the Monte Carlo simulator that fills
+a payoff array per chunk and sums it, run one chunk after another;
+``brute_force_reference``, the exact discrete-deck value summed card by card
+with prefix sums in rational arithmetic; and ``response_value``, a strategy's
+payoff integrated against the opponent's conditional EVs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from bluffsolve.analytic import ConditionalEV
 from bluffsolve.engine import MAX_CONSECUTIVE_REPLAYS, BetAction, Card, GameConfig, settle
 from bluffsolve.montecarlo import (
     DEFAULT_CHUNK_SIZE,
@@ -87,6 +89,22 @@ def quad_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> float:
     points = sorted({*s1.breakpoints, *s2.breakpoints})
     value, _ = integrate.quad(integrand, 0.0, 1.0, points=points or None, limit=200)
     return value
+
+
+def response_value(s: Strategy, evs: ConditionalEV) -> float:
+    """Expected payoff of playing ``s`` against the opponent behind ``evs``.
+
+    Integrates h(v) ev_high(v) + (1-h(v)) ev_low(v) exactly: per merged piece
+    the weight is constant and each EV linear, so the trapezoid rule is exact.
+    """
+    knots = np.array(sorted({*evs.ev_high.knots, *evs.ev_low.knots, *s.breakpoints, 0.0, 1.0}))
+    high = evs.ev_high(knots)
+    low = evs.ev_low(knots)
+    lengths = np.diff(knots)
+    h = np.array([s.high_probability(v) for v in knots[:-1]])
+    avg_high = (high[:-1] + high[1:]) / 2.0
+    avg_low = (low[:-1] + low[1:]) / 2.0
+    return float(np.sum(lengths * (h * avg_high + (1.0 - h) * avg_low)))
 
 
 def enumerate_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> tuple[Fraction, Fraction]:

@@ -11,13 +11,19 @@ from bluffsolve.analytic import (
     expected_payoff,
     indifference_bluff,
     indifference_threshold,
-    response_value,
     taxonomy_table,
 )
 from bluffsolve.engine import GameConfig
 from bluffsolve.strategy import Strategy, a_type, b_type, m_deterministic, threshold_mix
 
-from .oracles import quad_ev_high, quad_ev_low, quad_payoff, random_strategy, riemann_payoff
+from .oracles import (
+    quad_ev_high,
+    quad_ev_low,
+    quad_payoff,
+    random_strategy,
+    response_value,
+    riemann_payoff,
+)
 from .test_strategy import strategies_
 
 CFG = GameConfig(2, 1)

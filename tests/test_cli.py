@@ -312,6 +312,32 @@ def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "deck, command, stderr",
+    [
+        (
+            str(10**20),
+            "simulate",
+            "error: --deck: a simulated deck holds at most 2**53 cards, got 100000000000000000000\n",
+        ),
+        (
+            "1_000_000_000_000_000_000",
+            "simulate",
+            "error: --deck: a simulated deck holds at most 2**53 cards, got 1000000000000000000\n",
+        ),
+        (
+            "20000",
+            "brute-force",
+            "error: --deck: deck of 20000 cards exceeds the enumeration limit 10000\n",
+        ),
+    ],
+    ids=["simulate", "simulate-underscores", "brute-force"],
+)
+def test_deck_limit_messages(capsys, deck, command, stderr):
+    argv = [command, "--deck", deck, "--s1", "a-type", "--s2", "b-type"]
+    assert run(capsys, *argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["equilibrium", "--out"],
@@ -681,6 +707,7 @@ def fuzz_paths(tmp_path_factory):
 @example(["solve", "--ratio", "1e308", "--bins", "2", "--max-iters", "5"])
 @example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
 @example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
+@example(["exploit", "--a", "2e-300", "--b", "1e-300", "--s", "threshold:0.5:0.3"])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

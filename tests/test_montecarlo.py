@@ -10,7 +10,7 @@ import pytest
 
 from bluffsolve.analytic import expected_payoff
 from bluffsolve import montecarlo
-from bluffsolve.engine import GameConfig
+from bluffsolve.engine import ConfigError, GameConfig
 from bluffsolve.montecarlo import (
     DEFAULT_CHUNK_SIZE,
     MCEstimate,
@@ -274,6 +274,20 @@ class TestBruteForceDiscrete:
             brute_force_discrete(CFG, SIGMA, SIGMA)
         with pytest.raises(ValueError):
             brute_force_discrete(GameConfig(2, 1, deck_size=20_000), SIGMA, SIGMA)
+
+
+def test_deck_limits_are_config_errors():
+    # The limit on a deck lives in the function that deals or enumerates it.
+    largest = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK)
+    assert simulate(largest, a_type(), b_type(), hands=1, seed=0).mean == 1.0
+    over = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK + 1)
+    with pytest.raises(ConfigError, match="2\\*\\*53"):
+        simulate(over, a_type(), b_type(), hands=1, seed=0)
+    largest = GameConfig(2, 1, deck_size=montecarlo.MAX_ENUMERATED_DECK)
+    assert brute_force_discrete(largest, a_type(), b_type()).value == 1
+    over = GameConfig(2, 1, deck_size=montecarlo.MAX_ENUMERATED_DECK + 1)
+    with pytest.raises(ConfigError, match="enumeration limit"):
+        brute_force_discrete(over, a_type(), b_type())
 
 
 class TestConvergenceReport:

@@ -102,6 +102,16 @@ class TestExploitability:
         assert exploitability(CFG, b_type()) == pytest.approx(1.0, abs=1e-12)
         assert exploitability(CFG, a_type()) == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-305, -300, -200, -150, 0, 150, 300, 307])
+    def test_scales_with_the_bets(self, exponent):
+        # At tiny bets the product of two EV gaps underflows to zero, which
+        # must not hide the sign change that places the best response's cut.
+        scale = Fraction(10) ** exponent
+        value = exploitability(GameConfig(2 * scale, scale), threshold_mix(0.5, 0.3))
+        assert value >= 0.0
+        expected = float(scale) * exploitability(CFG, threshold_mix(0.5, 0.3))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -1,13 +1,10 @@
-"""Strategy curves: lookup, sampling, refinement, serialization."""
-
-import math
+"""Strategy curves: lookup, refinement, serialization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bluffsolve.engine import BetAction
 from bluffsolve.strategy import (
     Strategy,
     StrategyError,
@@ -53,24 +50,6 @@ def test_validation_errors():
         Strategy(breakpoints=(0.0,), high_prob=(0.5, 1.0))
     with pytest.raises(StrategyError):
         threshold_mix(0.5, 2.0)
-
-
-def test_sample_action_constants():
-    rng = np.random.default_rng(0)
-    assert all(b_type().sample_action(v, rng) == BetAction.LOW for v in (0.1, 0.6, 0.9))
-    sigma = threshold_mix(0.5, 1 / 3)
-    assert all(sigma.sample_action(0.8, rng) == BetAction.HIGH for _ in range(100))
-
-
-def test_sample_action_frequency_matches_probability():
-    """Binomial check at 1e6 draws: observed High rate within 3 standard errors."""
-    sigma = threshold_mix(0.5, 1 / 3)
-    rng = np.random.default_rng(42)
-    n = 1_000_000
-    hits = sum(sigma.sample_action(0.2, rng) == BetAction.HIGH for _ in range(n))
-    p = 1 / 3
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) <= 3 * se
 
 
 def test_mean_high_probability():
