@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GameConfig
-from .strategy import Strategy, a_type, b_type, m_deterministic, refine
+from .strategy import Strategy, a_type, b_type, m_deterministic, probabilities_on, refine
 
 #: Row/column order of the strategy-type payoff table.
 TAXONOMY_KEYS = ("a", "b", "m")
@@ -205,8 +205,16 @@ def taxonomy_table(cfg: GameConfig) -> dict[str, dict[str, PayoffValue]]:
     a zero diagonal.
     """
     _require_continuous(cfg)
-    players = {"a": a_type(), "b": b_type(), "m": m_deterministic(0.5)}
+    # Every type is constant on both halves of [0, 1], so the nine pairs share
+    # one grid and no pair needs refine. The weights are dyadic, and each
+    # term rounds exactly as on the pair's own merged grid.
+    grid = np.array((0.5,))
+    curves = {
+        key: probabilities_on(s.breakpoints, s.high_prob, grid)
+        for key, s in zip(TAXONOMY_KEYS, (a_type(), b_type(), m_deterministic(0.5)))
+    }
+    a, b, halves = float(cfg.high_bet), float(cfg.low_bet), np.array((0.5, 0.5))
     return {
-        row: {col: expected_payoff(cfg, players[row], players[col]) for col in TAXONOMY_KEYS}
+        row: {col: _payoff_terms(a, b, halves, curves[row], curves[col]) for col in TAXONOMY_KEYS}
         for row in TAXONOMY_KEYS
     }

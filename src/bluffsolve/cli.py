@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -39,10 +40,6 @@ class UsageError(Exception):
 
 class ComputationError(Exception):
     """A requested computation did not meet its own success criterion."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 #: Compact JSON. A result dataclass serialises as its fields in declaration
@@ -174,8 +171,13 @@ def _dump_strategy(args: argparse.Namespace, s: Strategy) -> None:
         _write_file(args.dump_strategy, s.to_json(), "dump-strategy")
 
 
-def _csv(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows])
+def _csv(header: str, row: str, records) -> str:
+    """A CSV table: ``header``, then the template ``row`` filled with each record.
+
+    Float columns use ``{:.17g}``, which round-trips every double; integer
+    columns use ``{}``, exact at any size.
+    """
+    return "\n".join([header, *itertools.starmap(row.format, records)])
 
 
 @functools.cache
@@ -278,8 +280,8 @@ def _cmd_evs(args: argparse.Namespace, cfg: GameConfig, opponent: Strategy) -> i
     if args.format == "json":
         _emit(args, _json({"v": grid.tolist(), "ev_high": high.tolist(), "ev_low": low.tolist()}))
     else:
-        rows = [f"{_fmt(v)},{_fmt(h)},{_fmt(l)}" for v, h, l in zip(grid, high, low)]
-        _emit(args, _csv("v,ev_high,ev_low", rows))
+        records = zip(grid.tolist(), high.tolist(), low.tolist())
+        _emit(args, _csv("v,ev_high,ev_low", "{:.17g},{:.17g},{:.17g}", records))
     return 0
 
 
@@ -331,12 +333,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(args, _json(rows))
     else:
-        lines = [
-            f"{_fmt(r.ratio)},{_fmt(r.t_star)},{_fmt(r.p_star)},"
-            f"{_fmt(r.exploitability)},{r.iterations}"
-            for r in rows
-        ]
-        _emit(args, _csv("ratio,t_star,p_star,exploitability,iterations", lines))
+        template = "{:.17g},{:.17g},{:.17g},{:.17g},{}"
+        records = [(r.ratio, r.t_star, r.p_star, r.exploitability, r.iterations) for r in rows]
+        _emit(args, _csv("ratio,t_star,p_star,exploitability,iterations", template, records))
     failed = [r for r in rows if not r.converged]
     for r in failed:
         print(f"warning: ratio {r.ratio:g} did not converge", file=sys.stderr)
@@ -369,11 +368,9 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
         raise UsageError(f"--deck: {exc}") from exc
     # A report is a table, CSV by default; a single estimate is JSON by default.
     if args.format == "csv" or (args.format is None and args.schedule is not None):
-        rows = [
-            f"{e.hands},{_fmt(e.mean)},{_fmt(e.std_error)},{_fmt(e.replay_rate)},{e.seed}"
-            for e in report
-        ]
-        _emit(args, _csv("hands,mean,std_err,replay_rate,seed", rows))
+        template = "{},{:.17g},{:.17g},{:.17g},{}"
+        records = [(e.hands, e.mean, e.std_error, e.replay_rate, e.seed) for e in report]
+        _emit(args, _csv("hands,mean,std_err,replay_rate,seed", template, records))
     else:
         _emit(args, _json(report if args.schedule is not None else report[0]))
     return 0
@@ -399,12 +396,10 @@ def _cmd_brute_force(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2
 def _cmd_taxonomy(args: argparse.Namespace, cfg: GameConfig) -> int:
     table = analytic.taxonomy_table(cfg)
     if args.format == "csv":
-        rows = [
-            f"{row},{col},{_fmt(table[row][col].value)}"
-            for row in TAXONOMY_KEYS
-            for col in TAXONOMY_KEYS
+        records = [
+            (row, col, table[row][col].value) for row in TAXONOMY_KEYS for col in TAXONOMY_KEYS
         ]
-        _emit(args, _csv("row,col,value", rows))
+        _emit(args, _csv("row,col,value", "{},{},{:.17g}", records))
     else:
         _emit(
             args,

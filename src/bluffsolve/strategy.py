@@ -26,6 +26,9 @@ class StrategyError(ValueError):
     """Structurally invalid strategy data (bad shape, range, or ordering)."""
 
 
+_INT_FLOAT = frozenset((int, float))
+
+
 @dataclass(frozen=True)
 class Strategy:
     breakpoints: tuple[float, ...]
@@ -54,19 +57,27 @@ class Strategy:
 
     @classmethod
     def from_dict(cls, data: Any) -> Strategy:
+        """A strategy from parsed JSON: each entry must be a JSON number (not a bool)."""
         if not isinstance(data, dict):
             raise StrategyError(f"expected an object with breakpoints/high_prob, got {type(data).__name__}")
         for key in ("breakpoints", "high_prob"):
             if key not in data:
                 raise StrategyError(f"missing required key {key!r}")
-            if not isinstance(data[key], (list, tuple)):
+            values = data[key]
+            if not isinstance(values, (list, tuple)):
                 raise StrategyError(f"{key!r} must be an array of numbers")
+            # A number is a float or an int; a bool is an int, but not a number.
+            # Two checks at C speed pass a list of floats, or of exact ints and
+            # floats; only a list that fails both is searched for the offender.
+            all_floats = all(map(float.__instancecheck__, values))
+            if not all_floats and not _INT_FLOAT.issuperset(map(type, values)):
+                for i, v in enumerate(values):
+                    if not isinstance(v, float) and type(v) is not int:
+                        raise StrategyError(f"{key}[{i}]={v!r} is not a number")
         try:
-            bps = tuple(map(float, data["breakpoints"]))
-            probs = tuple(map(float, data["high_prob"]))
-        except (TypeError, ValueError) as exc:
-            raise StrategyError(f"non-numeric entry: {exc}") from exc
-        return cls(breakpoints=bps, high_prob=probs)
+            return cls(breakpoints=data["breakpoints"], high_prob=data["high_prob"])
+        except OverflowError as exc:
+            raise StrategyError(f"a number is beyond the float range: {exc}") from exc
 
     def to_json(self) -> str:
         """Serialize losslessly (floats keep full round-trip precision)."""

@@ -4,6 +4,7 @@ equilibrium, and the strategy-type payoff table."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bluffsolve.analytic import (
     closed_form_equilibrium,
@@ -256,3 +257,14 @@ class TestTaxonomy:
             for col in "abm":
                 oracle = riemann_payoff(CFG, players[row], players[col])
                 assert table[row][col].value == pytest.approx(oracle, abs=5e-3)
+
+    @settings(max_examples=200)
+    @given(st.floats(1e-150, 1e150), st.floats(1 + 2**-20, 1e6))
+    def test_equals_expected_payoff_bit_for_bit(self, low, ratio):
+        cfg = GameConfig(low * ratio, low)
+        table = taxonomy_table(cfg)
+        players = {"a": a_type(), "b": b_type(), "m": m_deterministic(0.5)}
+        for row in "abm":
+            for col in "abm":
+                # repr tells signed zeros apart, which == would not.
+                assert repr(table[row][col]) == repr(expected_payoff(cfg, players[row], players[col]))

@@ -87,6 +87,26 @@ EXACT_OUTPUTS = [
         '{"a":{"a":0.0,"b":1.0,"m":0.0},"b":{"a":-1.0,"b":0.0,"m":-0.25},"m":{"a":0.0,"b":0.25,"m":0.0}}\n',
     ),
     (
+        ["taxonomy", "--ratio", "2.3456", "--format", "csv"],
+        "row,col,value\na,a,0\na,b,1\na,m,-0.086400000000000032\nb,a,-1\nb,b,0\nb,m,-0.25\n"
+        "m,a,0.086400000000000032\nm,b,0.25\nm,m,0\n",
+    ),
+    (
+        ["evs", "--a", "2e-300", "--b", "1e-300", "--opponent", "threshold:0.5:0.25", "--grid", "5"],
+        "v,ev_high,ev_low\n0,-8.7500000000000004e-301,-1e-300\n"
+        "0.25,-6.2500000000000008e-301,-6.2499999999999999e-301\n"
+        "0.5,-3.7500000000000003e-301,-2.4999999999999996e-301\n"
+        "0.75,6.2499999999999999e-301,-2.4999999999999996e-301\n"
+        "1,1.6249999999999999e-300,-2.4999999999999996e-301\n",
+    ),
+    (
+        # Seeds past 2**64 must print as integers, never through a float format.
+        ["simulate", "--s1", "a-type", "--s2", "b-type", "--schedule", "10,20",
+         "--seed", str(2**64 - 1)],
+        "hands,mean,std_err,replay_rate,seed\n10,1,0,0,18446744073709551615\n"
+        "20,1,0,0,18446744073709551616\n",
+    ),
+    (
         ["brute-force", "--deck", "5", "--s1", "a-type", "--s2", "a-type"],
         '{"value":"0","value_float":0.0,"replay_probability":"1/5","replay_probability_float":0.2}\n',
     ),
@@ -186,6 +206,24 @@ class TestExploitCommand:
         code, _, err = run(capsys, "exploit", "--ratio", "2", "--strategy-file", str(path))
         assert code == 2
         assert "strictly increasing" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '{"breakpoints":[],"high_prob":[%s]}' % ("9" * 400),
+                "a number is beyond the float range: int too large to convert to float",
+            ),
+            ('{"breakpoints":[],"high_prob":["0",true]}', "high_prob[0]='0' is not a number"),
+        ],
+        ids=["huge_int", "not_numbers"],
+    )
+    def test_strategy_file_numbers(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "numbers.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "exploit", "--strategy-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad strategy file {str(path)!r}: {reason}\n"
 
     @pytest.mark.parametrize("flags", [[], ["--s", "a-type", "--strategy-file", "unread.json"]])
     def test_needs_exactly_one_strategy(self, capsys, flags):
@@ -604,7 +642,10 @@ specs = mostly(
 )
 # Placeholders, replaced by paths in a per-module directory.
 strategy_files = mostly(
-    st.just("{good}"), st.sampled_from(("{missing}", "{bad_json}", "{invalid}", "{not_object}", "{dir}"))
+    st.just("{good}"),
+    st.sampled_from(
+        ("{missing}", "{bad_json}", "{invalid}", "{not_object}", "{huge_int}", "{not_numbers}", "{dir}")
+    ),
 )
 outputs = mostly(st.just("{new}"), st.sampled_from(("{unwritable}", "{dir}")))
 formats = mostly(st.sampled_from(("csv", "json")), st.just("xml"))
@@ -687,6 +728,8 @@ def fuzz_paths(tmp_path_factory):
         "bad_json": '{"breakpoints":',
         "invalid": '{"breakpoints":[0.9,0.1],"high_prob":[0,0,1]}',
         "not_object": "[0.5]",
+        "huge_int": '{"breakpoints":[],"high_prob":[%s]}' % ("9" * 400),
+        "not_numbers": '{"breakpoints":[],"high_prob":["0",true]}',
     }
     paths = {}
     for name, text in contents.items():
@@ -708,6 +751,8 @@ def fuzz_paths(tmp_path_factory):
 @example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
 @example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
 @example(["exploit", "--a", "2e-300", "--b", "1e-300", "--s", "threshold:0.5:0.3"])
+@example(["exploit", "--strategy-file", "{huge_int}"])
+@example(["exploit", "--strategy-file", "{not_numbers}"])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

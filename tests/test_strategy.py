@@ -129,6 +129,29 @@ def test_deserialize_rejects_missing_keys_and_bad_types():
         Strategy.from_json('{"breakpoints":0.5,"high_prob":[1.0]}')
 
 
+def test_deserialize_accepts_json_ints():
+    assert Strategy.from_json('{"breakpoints":[0.5],"high_prob":[0,1]}') == m_deterministic(0.5)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"breakpoints":[],"high_prob":["0"]}', r"high_prob\[0\]='0' is not a number"),
+        ('{"breakpoints":[0.5],"high_prob":[0,true]}', r"high_prob\[1\]=True is not a number"),
+        ('{"breakpoints":[false],"high_prob":[0,1]}', r"breakpoints\[0\]=False is not a number"),
+        ('{"breakpoints":[0.5],"high_prob":[0,null]}', r"high_prob\[1\]=None is not a number"),
+    ],
+)
+def test_deserialize_rejects_entries_that_are_not_numbers(text, message):
+    with pytest.raises(StrategyError, match=message):
+        Strategy.from_json(text)
+
+
+def test_deserialize_reports_an_int_beyond_float_range():
+    with pytest.raises(StrategyError, match="beyond the float range"):
+        Strategy.from_json('{"breakpoints":[],"high_prob":[%s]}' % ("9" * 400))
+
+
 def test_parse_error_carries_position():
     with pytest.raises(StrategyError, match=r"line 1 column"):
         Strategy.from_json('{"breakpoints":[0.5,]}')
