@@ -66,11 +66,8 @@ class Strategy:
             values = data[key]
             if not isinstance(values, (list, tuple)):
                 raise StrategyError(f"{key!r} must be an array of numbers")
-            # A number is a float or an int; a bool is an int, but not a number.
-            # Two checks at C speed pass a list of floats, or of exact ints and
-            # floats; only a list that fails both is searched for the offender.
-            all_floats = all(map(float.__instancecheck__, values))
-            if not all_floats and not _INT_FLOAT.issuperset(map(type, values)):
+            # A bool is an int, but not a number.
+            if not _INT_FLOAT.issuperset(map(type, values)):
                 for i, v in enumerate(values):
                     if not isinstance(v, float) and type(v) is not int:
                         raise StrategyError(f"{key}[{i}]={v!r} is not a number")

@@ -751,8 +751,6 @@ def fuzz_paths(tmp_path_factory):
 @example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
 @example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
 @example(["exploit", "--a", "2e-300", "--b", "1e-300", "--s", "threshold:0.5:0.3"])
-@example(["exploit", "--strategy-file", "{huge_int}"])
-@example(["exploit", "--strategy-file", "{not_numbers}"])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

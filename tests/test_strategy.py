@@ -140,16 +140,12 @@ def test_deserialize_accepts_json_ints():
         ('{"breakpoints":[0.5],"high_prob":[0,true]}', r"high_prob\[1\]=True is not a number"),
         ('{"breakpoints":[false],"high_prob":[0,1]}', r"breakpoints\[0\]=False is not a number"),
         ('{"breakpoints":[0.5],"high_prob":[0,null]}', r"high_prob\[1\]=None is not a number"),
+        ('{"breakpoints":[],"high_prob":[%s]}' % ("9" * 400), "beyond the float range"),
     ],
 )
-def test_deserialize_rejects_entries_that_are_not_numbers(text, message):
+def test_deserialize_rejects_bad_numbers(text, message):
     with pytest.raises(StrategyError, match=message):
         Strategy.from_json(text)
-
-
-def test_deserialize_reports_an_int_beyond_float_range():
-    with pytest.raises(StrategyError, match="beyond the float range"):
-        Strategy.from_json('{"breakpoints":[],"high_prob":[%s]}' % ("9" * 400))
 
 
 def test_parse_error_carries_position():
