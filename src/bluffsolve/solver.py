@@ -20,15 +20,23 @@ advances two sequences of curves together:
 (b) Projected subgradient descent on e with Polyak's step size (Polyak,
     1969), using the known lower bound e >= 0 (the game value):
     y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
-    payoff of y's best response, a subgradient of e at y.
+    payoff of y's best response, a subgradient of e at y. The step is taken
+    at the bets divided by 2**k, with 2**k the power of two that puts the
+    high bet in [1/2, 1), so |g|^2 neither overflows nor underflows at any
+    bet scale. Power-of-two scaling is exact: the step is the one the true
+    bets give wherever their arithmetic stays in range.
 
 Every iterate of both sequences is certified by the exact continuous
 exploitability, the solver returns the best certified iterate, and it stops
-at the first one within epsilon. Neither sequence suffices alone. PRM+
-minimises regret in the bin-restricted game, whose equilibria need not be
-continuous ones: at K=2 and ratio 2 it settles on always-High. Against
-always-High the bin [0, 1/2) is indifferent on average, so no bin strategy
-beats it, but the continuous response that bets Low below 1/4 wins 0.125.
+at the first one within epsilon. Each step reuses the arrays of the last two
+certificates: PRM+ integrates the EV gap at the bin edges of x's, and the
+Polyak gradient runs on the merged grid and rule curve of y's.
+
+Neither sequence suffices alone. PRM+ minimises regret in the bin-restricted
+game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
+settles on always-High. Against always-High the bin [0, 1/2) is indifferent
+on average, so no bin strategy beats it, but the continuous response that
+bets Low below 1/4 wins 0.125.
 The Polyak sequence targets e itself and reaches the exact K=2 equilibrium
 (1/3, 1), but alone it took 470 steps to reach 1e-3 at K=200 and ratio 2,
 where the two together take 99.
@@ -46,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,26 +150,41 @@ def _bin_edges(bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, bins + 1)
 
 
-def _binned_response(
-    a: float, b: float, edges: np.ndarray, h: np.ndarray
-) -> tuple[_Rule, float]:
-    """Best response to the curve ``h`` on bins ``edges``: (rule arrays, value).
+class _Response(NamedTuple):
+    """A binned best response with the arrays the next solver step reuses.
+
+    ``gap`` is ev_high - ev_low at the bin edges against the curve, ``grid``
+    the rule's cuts merged with the interior edges, and ``curve`` the rule's
+    High value per piece of ``grid``.
+    """
+
+    rule: _Rule
+    value: float
+    gap: np.ndarray
+    grid: np.ndarray
+    curve: np.ndarray
+
+
+def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _Response:
+    """Best response to the curve ``h`` on bins ``edges``, with its kernels' arrays.
 
     Runs the kernels of ``best_response(cfg, Strategy(edges[1:-1], h))`` on
     the same grids, so rule and value equal that call's exactly.
     """
     ev_high, ev_low = _ev_arrays(a, b, edges, h)
-    breakpoints, high = _action_rule(edges, ev_high - ev_low)
+    gap = ev_high - ev_low
+    breakpoints, high = _action_rule(edges, gap)
     interior = edges[1:-1]
     grid = merge_breakpoints(breakpoints, interior)
+    curve = probabilities_on(breakpoints, high, grid)
     payoff = _payoff_terms(
         a,
         b,
         np.diff(np.concatenate(([0.0], grid, [1.0]))),
-        probabilities_on(breakpoints, high, grid),
+        curve,
         probabilities_on(interior, h, grid),
     )
-    return (breakpoints, high), payoff.value
+    return _Response((breakpoints, high), payoff.value, gap, grid, curve)
 
 
 def _bin_gaps(
@@ -207,18 +230,21 @@ def fictitious_play(
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     a, b = float(cfg.high_bet), float(cfg.low_bet)
+    # The Polyak step runs at the bets over 2**k (see the module docstring).
+    k = math.frexp(a)[1]
+    a_unit, b_unit = math.ldexp(a, -k), math.ldexp(b, -k)
     edges = _bin_edges(bins)
-    interior = edges[1:-1]
+    widths = np.diff(edges)
     x = y = np.full(bins, 0.5)
-    y_rule, y_value = _binned_response(a, b, edges, y)
-    best_h, best_value = y, y_value
+    x_response = y_response = _binned_response(a, b, edges, y)
+    best_h, best_value = y, y_response.value
 
-    def certify(h: np.ndarray) -> tuple[_Rule, float]:
+    def certify(h: np.ndarray) -> _Response:
         nonlocal best_h, best_value
-        rule, value = _binned_response(a, b, edges, h)
-        if value < best_value:
-            best_h, best_value = h, value
-        return rule, value
+        response = _binned_response(a, b, edges, h)
+        if response.value < best_value:
+            best_h, best_value = h, response.value
+        return response
 
     # PRM+ state: clipped cumulative regrets of High and Low per bin.
     regret_high, regret_low = np.zeros(bins), np.zeros(bins)
@@ -230,8 +256,10 @@ def fictitious_play(
         iterations += 1
 
         # (a) PRM+: this iterate's regrets update the clipped sums and are
-        # the prediction for the next iterate.
-        gap = _bin_gaps(a, b, edges, interior, x)
+        # the prediction for the next iterate. The bin integrals of the EV
+        # gap come from x's certificate: the trapezoid rule on each bin.
+        d = x_response.gap
+        gap = widths * (d[:-1] + d[1:]) / 2.0
         last_high, last_low = (1.0 - x) * gap, -x * gap
         regret_high = np.maximum(regret_high + last_high, 0.0)
         regret_low = np.maximum(regret_low + last_low, 0.0)
@@ -240,31 +268,29 @@ def fictitious_play(
         x = np.divide(high_part, total, out=np.full(bins, 0.5), where=total > 0.0)
         weighted_sum += iterations * x
         weight += iterations
-        certify(x)
+        x_response = certify(x)
         if best_value <= epsilon:
             break
 
         # (b) Polyak step on e, whose minimum is at least the game value 0;
-        # the gradient of y's response payoff is a subgradient of e at y.
-        breakpoints, high = y_rule
-        grid = merge_breakpoints(breakpoints, interior)
-        g = -_bin_gaps(a, b, edges, grid, probabilities_on(breakpoints, high, grid))
+        # the gradient of y's response payoff is a subgradient of e at y. It
+        # runs on the merged grid and rule curve of y's certificate.
+        g = -_bin_gaps(a_unit, b_unit, edges, y_response.grid, y_response.curve)
         norm = float(g @ g)
         if norm > 0.0:
-            y = np.clip(y - (y_value / norm) * g, 0.0, 1.0)
-        y_rule, y_value = certify(y)
+            y = np.clip(y - (math.ldexp(y_response.value, -k) / norm) * g, 0.0, 1.0)
+        y_response = certify(y)
 
         if iterations % 50 == 0:
-            average = _binned_response(a, b, edges, weighted_sum / weight)[1]
+            average = _binned_response(a, b, edges, weighted_sum / weight).value
             trace.append((iterations, average, best_value))
 
-    if trace[-1][0] == iterations:
-        trace.pop()
-    average = weighted_sum / weight if weight else x
-    trace.append((iterations, _binned_response(a, b, edges, average)[1], best_value))
+    if trace[-1][0] != iterations:
+        average = _binned_response(a, b, edges, weighted_sum / weight).value
+        trace.append((iterations, average, best_value))
     return EquilibriumResult(
         strategy=Strategy(
-            breakpoints=tuple(interior.tolist()), high_prob=tuple(best_h.tolist())
+            breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
         ),
         exploitability=best_value,
         iterations=iterations,

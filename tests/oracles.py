@@ -107,6 +107,41 @@ def response_value(s: Strategy, evs: ConditionalEV) -> float:
     return float(np.sum(lengths * (h * avg_high + (1.0 - h) * avg_low)))
 
 
+def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
+    """Exact best-response value against ``s``: the integral of max(ev_high, ev_low).
+
+    The bets and the strategy's floats count as exact rationals. With H(v)
+    and L(v) the opponent's High and Low mass below v, ev_high(v) = a (2H(v)
+    - H) + b L and ev_low(v) = -b H + b (2L(v) - L). Both are linear on each
+    piece of ``s``, so each piece adds the trapezoid of ev_low plus the part
+    of the trapezoid of ev_high - ev_low that lies above zero.
+    """
+    a, b = cfg.high_bet, cfg.low_bet
+    knots = [Fraction(0), *map(Fraction, s.breakpoints), Fraction(1)]
+    lengths = [k1 - k0 for k0, k1 in zip(knots, knots[1:])]
+    high = [length * Fraction(p) for length, p in zip(lengths, s.high_prob)]
+    total_high = sum(high, Fraction(0))
+    total_low = 1 - total_high
+    below_high = below_low = Fraction(0)
+    ev_low, gap = [], []
+    for length, mass in zip([*lengths, Fraction(0)], [*high, Fraction(0)]):
+        low_value = -b * total_high + b * (2 * below_low - total_low)
+        ev_low.append(low_value)
+        gap.append(a * (2 * below_high - total_high) + b * total_low - low_value)
+        below_high += mass
+        below_low += length - mass
+    value = Fraction(0)
+    for length, l0, l1, d0, d1 in zip(lengths, ev_low, ev_low[1:], gap, gap[1:]):
+        value += length * (l0 + l1) / 2
+        if d0 >= 0 and d1 >= 0:
+            value += length * (d0 + d1) / 2
+        elif d0 > 0 or d1 > 0:
+            # One end above zero: the triangle up to the root.
+            top = max(d0, d1)
+            value += length * top * top / (2 * abs(d0 - d1))
+    return value
+
+
 def enumerate_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> tuple[Fraction, Fraction]:
     """Literal enumeration of every card pair and bet pair through ``settle``.
 

@@ -748,6 +748,7 @@ def fuzz_paths(tmp_path_factory):
 @example(["equilibrium", "--a", "1e308", "--b", "0.5"])
 @example(["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"])
 @example(["solve", "--ratio", "1e308", "--bins", "2", "--max-iters", "5"])
+@example(["solve", "--a", "2e200", "--b", "1e200", "--bins", "16", "--max-iters", "5"])
 @example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
 @example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
 @example(["exploit", "--a", "2e-300", "--b", "1e-300", "--s", "threshold:0.5:0.3"])

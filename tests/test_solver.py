@@ -1,18 +1,28 @@
 """Best response, exploitability, fictitious play, and the ratio sweep."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bluffsolve import solver
 from bluffsolve.analytic import _ev_arrays, closed_form_equilibrium, expected_payoff
 from bluffsolve.engine import GameConfig
 from bluffsolve.montecarlo import simulate
 from bluffsolve.solver import best_response, exploitability, fictitious_play, ratio_sweep
-from bluffsolve.strategy import Strategy, a_type, b_type, threshold_mix
+from bluffsolve.strategy import (
+    Strategy,
+    a_type,
+    b_type,
+    merge_breakpoints,
+    probabilities_on,
+    threshold_mix,
+)
 
-from .oracles import quad_payoff, random_strategy
+from .oracles import exploitability_exact, quad_payoff, random_strategy
 
 CFG = GameConfig(2, 1)
 SIGMA = threshold_mix(0.5, 1 / 3)
@@ -63,13 +73,12 @@ class TestBinnedResponse:
     @staticmethod
     def assert_matches_public(cfg, h):
         edges = solver._bin_edges(len(h))
-        (breakpoints, high), value = solver._binned_response(
-            float(cfg.high_bet), float(cfg.low_bet), edges, h
-        )
+        response = solver._binned_response(float(cfg.high_bet), float(cfg.low_bet), edges, h)
+        breakpoints, high = response.rule
         public = best_response(cfg, Strategy(tuple(edges[1:-1].tolist()), tuple(h.tolist())))
         assert tuple(breakpoints.tolist()) == public.action_rule.breakpoints
         assert tuple(high.tolist()) == public.action_rule.high_prob
-        assert value == public.value
+        assert response.value == public.value
 
     @pytest.mark.parametrize("bins", [2, 16, 200])
     def test_random_curves(self, bins):
@@ -93,6 +102,22 @@ class TestBinnedResponse:
         assert np.any(ev_high == ev_low)
         self.assert_matches_public(CFG, h)
 
+    @pytest.mark.parametrize("bins", [2, 16, 200])
+    def test_reused_arrays_equal_the_bin_integrals(self, bins):
+        # The solver's next step reads these arrays, so they must equal the
+        # bin integrals of _bin_gaps and the merged grid, bit for bit.
+        rng = np.random.default_rng(bins)
+        edges = solver._bin_edges(bins)
+        for ratio in (1.5, 2.0, 3.0):
+            h = rng.random(bins)
+            response = solver._binned_response(ratio, 1.0, edges, h)
+            gap = response.gap
+            integrals = np.diff(edges) * (gap[:-1] + gap[1:]) / 2.0
+            assert np.array_equal(integrals, solver._bin_gaps(ratio, 1.0, edges, edges[1:-1], h))
+            grid = merge_breakpoints(response.rule[0], edges[1:-1])
+            assert np.array_equal(response.grid, grid)
+            assert np.array_equal(response.curve, probabilities_on(*response.rule, grid))
+
 
 class TestExploitability:
     def test_equilibrium_certificate(self):
@@ -111,6 +136,27 @@ class TestExploitability:
         assert value >= 0.0
         expected = float(scale) * exploitability(CFG, threshold_mix(0.5, 0.3))
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.floats(1 + 2**-20, 1e3),
+        st.floats(1e-300, 1e300),
+    )
+    def test_matches_the_exact_oracle(self, pieces, seed, ratio, scale):
+        rng = np.random.default_rng(seed)
+        breakpoints = np.unique(rng.random(pieces - 1))
+        breakpoints = breakpoints[breakpoints > 0.0]
+        s = Strategy(tuple(breakpoints.tolist()), tuple(rng.random(len(breakpoints) + 1).tolist()))
+        cfg = GameConfig(ratio * scale, scale)
+        exact = exploitability_exact(cfg, s)
+        value = exploitability(cfg, s)
+        assert value >= 0.0
+        bound = 64 * len(s.high_prob) * Fraction(2) ** -52 * cfg.high_bet
+        assert abs(Fraction(value) - exact) <= bound
+        # The oracle is exact, so it scales with the bets exactly.
+        assert exact == cfg.low_bet * exploitability_exact(GameConfig(cfg.ratio, 1), s)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -192,6 +238,49 @@ class TestFictitiousPlay:
         result = fictitious_play(CFG, bins=16, epsilon=1e-4, max_iters=800)
         assert exploitability(CFG, result.strategy) == result.exploitability
 
+    @pytest.mark.parametrize(
+        ("ratio", "iterations", "value"),
+        [
+            (1.5, 67, "0.0009897607807276276"),
+            (2.0, 99, "0.0008088364235303096"),
+            (3.0, 351, "0.0009899362263166272"),
+        ],
+    )
+    def test_pinned_two_hundred_bin_runs(self, ratio, iterations, value):
+        # Pinned bit for bit: a change to the search's arithmetic, or to
+        # the order of its operations, moves these.
+        result = fictitious_play(GameConfig(Fraction(ratio), 1), bins=200, epsilon=1e-3)
+        assert (result.iterations, repr(result.exploitability)) == (iterations, value)
+
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
+    def test_scale_equivariant(self, ratio):
+        # Scaling both bets by 2**k scales every payoff exactly, so the
+        # search must take the same steps; near the float range's ends the
+        # Polyak step's |g|^2 would overflow or underflow at the true bets.
+        base = fictitious_play(GameConfig(Fraction(ratio), 1), bins=16, epsilon=1e-4, max_iters=300)
+        for k in (-1000, -700, -500, 0, 500, 700, 1000):
+            scale = Fraction(2) ** k
+            cfg = GameConfig(Fraction(ratio) * scale, scale)
+            result = fictitious_play(cfg, bins=16, epsilon=math.ldexp(1e-4, k), max_iters=300)
+            assert (k, result.iterations, result.strategy) == (k, base.iterations, base.strategy)
+            assert (k, math.ldexp(result.exploitability, -k)) == (k, base.exploitability)
+
+    def test_final_checkpoint_is_certified_once(self, monkeypatch):
+        # The start, two iterates per step, and the averages at steps 50
+        # and 100; the run ends on a checkpoint, which is not redone.
+        respond = solver._binned_response
+        calls = []
+
+        def counting_response(*args):
+            calls.append(None)
+            return respond(*args)
+
+        monkeypatch.setattr(solver, "_binned_response", counting_response)
+        result = fictitious_play(CFG, bins=16, epsilon=1e-15, max_iters=100)
+        assert not result.converged
+        assert len(calls) == 203
+        assert [step for step, _, _ in result.trace] == [0, 50, 100]
+
     @pytest.mark.parametrize("bins", [2, 8, 16])
     def test_every_certified_iterate_matches_the_public_certificate(self, monkeypatch, bins):
         # Both sequences and the trace's average are certified by
@@ -200,9 +289,9 @@ class TestFictitiousPlay:
         certified = []
 
         def recording_response(a, b, edges, h):
-            rule, value = respond(a, b, edges, h)
-            certified.append((h.copy(), value))
-            return rule, value
+            response = respond(a, b, edges, h)
+            certified.append((h.copy(), response.value))
+            return response
 
         monkeypatch.setattr(solver, "_binned_response", recording_response)
         result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
