@@ -24,7 +24,6 @@ from .engine import (
     GameConfig,
     Settlement,
     settle,
-    validate_config,
 )
 from .montecarlo import (
     ExactDiscreteValue,
@@ -88,5 +87,4 @@ __all__ = [
     "simulate",
     "taxonomy_table",
     "threshold_mix",
-    "validate_config",
 ]

@@ -46,7 +46,8 @@ class GameConfig:
     contributes its exact binary value). ``deck_size=None`` selects the
     continuous model: card values i.i.d. uniform on [0, 1]. ``deck_size=M``
     (M >= 2) selects the discrete model: the M equally spaced values
-    {0, 1/(M-1), ..., 1}, drawn independently with replacement.
+    {0, 1/(M-1), ..., 1}, drawn independently with replacement. An invalid bet,
+    ratio (the closed forms need it as a float) or deck raises ``ConfigError``.
     """
 
     high_bet: Fraction
@@ -54,9 +55,29 @@ class GameConfig:
     deck_size: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "high_bet", Fraction(self.high_bet))
-        object.__setattr__(self, "low_bet", Fraction(self.low_bet))
-        validate_config(self)
+        try:
+            a, b = Fraction(self.high_bet), Fraction(self.low_bet)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"bets must be finite numbers, got high={self.high_bet!r} low={self.low_bet!r}"
+            ) from exc
+        object.__setattr__(self, "high_bet", a)
+        object.__setattr__(self, "low_bet", b)
+        if b <= 0:
+            raise ConfigError(f"low bet must be positive, got {b}")
+        if a <= b:
+            raise ConfigError(f"high bet must exceed low bet, got high={a} low={b}")
+        # a/b > _FLOAT_MAX, cross-multiplied: a Fraction division costs more
+        # than the rest of the validation together.
+        if a.numerator * b.denominator > _FLOAT_MAX * a.denominator * b.numerator:
+            raise ConfigError(
+                f"bet ratio a/b must not exceed the largest float {sys.float_info.max!r}"
+            )
+        if self.deck_size is not None:
+            if not isinstance(self.deck_size, int) or isinstance(self.deck_size, bool):
+                raise ConfigError(f"deck size must be an int, got {self.deck_size!r}")
+            if self.deck_size < 2:
+                raise ConfigError(f"discrete deck needs at least 2 cards, got {self.deck_size}")
 
     @property
     def is_continuous(self) -> bool:
@@ -66,34 +87,6 @@ class GameConfig:
     def ratio(self) -> Fraction:
         """Bet ratio a/b, the game's single risk parameter."""
         return self.high_bet / self.low_bet
-
-
-def validate_config(cfg: GameConfig) -> GameConfig:
-    """Check every configuration invariant; return ``cfg`` unchanged if valid.
-
-    Rejects ``low_bet <= 0``, ``high_bet <= low_bet``, a ratio ``a/b`` too
-    large for a float (the closed forms evaluate it as one), and discrete decks
-    with fewer than two cards.
-    """
-    if cfg.low_bet <= 0:
-        raise ConfigError(f"low bet must be positive, got {cfg.low_bet}")
-    if cfg.high_bet <= cfg.low_bet:
-        raise ConfigError(
-            f"high bet must exceed low bet, got high={cfg.high_bet} low={cfg.low_bet}"
-        )
-    # a/b > _FLOAT_MAX, cross-multiplied: a Fraction division costs more
-    # than the rest of the validation together.
-    a, b = cfg.high_bet, cfg.low_bet
-    if a.numerator * b.denominator > _FLOAT_MAX * a.denominator * b.numerator:
-        raise ConfigError(
-            f"bet ratio a/b must not exceed the largest float {sys.float_info.max!r}"
-        )
-    if cfg.deck_size is not None:
-        if not isinstance(cfg.deck_size, int) or isinstance(cfg.deck_size, bool):
-            raise ConfigError(f"deck size must be an int, got {cfg.deck_size!r}")
-        if cfg.deck_size < 2:
-            raise ConfigError(f"discrete deck needs at least 2 cards, got {cfg.deck_size}")
-    return cfg
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,7 @@ The simulator splits the hands into chunks of ``chunk_size``, each drawing from
 its own counter-based Philox stream, and runs the chunks concurrently on a
 thread pool with one worker per available core (none for a single chunk).
 Each simulated round consumes exactly four uniforms per hand (card, card, bet
-draw, bet draw); the ``mirrored`` flag swaps the seat columns of that stream,
-which replays the identical physical hands with the players' roles exchanged
-and therefore negates every payoff exactly.
+draw, bet draw).
 
 A chunk returns integer counts of its outcome classes (wins and losses at a
 and at b, and replays), which add exactly in any order, so an estimate is
@@ -16,7 +14,8 @@ versions, which summed a float payoff per hand; with non-integer bets the
 mean and standard error can differ from those in the last bits, because the
 sums are now rounded once per outcome class instead of pairwise per hand.
 A worker holds one block of ``_BLOCK`` deals at a time, so memory grows with
-the number of workers, not with the number of hands.
+the number of workers, not with the number of hands. The moments are taken
+at the bets over 2**``analytic._unit_exponent`` of the paid bets, scaled back.
 
 Each seat looks up every deal's High probability in one read-only table that
 all workers share, 8 bytes an entry. A deck of at most ``_CELLS`` cards has
@@ -46,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _payoff_terms
+from .analytic import _payoff_terms, _unit_exponent
 from .engine import MAX_CONSECUTIVE_REPLAYS, ConfigError, GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
@@ -92,14 +91,6 @@ class ExactDiscreteValue:
 
     value: Fraction
     replay_probability: Fraction
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
-    @property
-    def replay_probability_float(self) -> float:
-        return float(self.replay_probability)
 
 
 def _seat_tables(s: Strategy, deck: int | None) -> tuple:
@@ -158,15 +149,14 @@ def _high_probability(cards: np.ndarray, seat: tuple, deck: int | None) -> np.nd
     return p
 
 
-def _tally(u: np.ndarray, deck: int | None, seats: tuple, columns: tuple) -> np.ndarray:
+def _tally(u: np.ndarray, deck: int | None, seats: tuple) -> np.ndarray:
     """Player 1's outcome counts over deals ``u``, one row of uniforms each.
 
     Returns [wins at a, losses at a, wins at b, losses at b, replays].
     """
-    card1, card2, draw1, draw2 = columns
-    c1, c2 = _cards(u[:, card1], deck), _cards(u[:, card2], deck)
-    high1 = u[:, draw1] < _high_probability(c1, seats[0], deck)
-    high2 = u[:, draw2] < _high_probability(c2, seats[1], deck)
+    c1, c2 = _cards(u[:, 0], deck), _cards(u[:, 1], deck)
+    high1 = u[:, 2] < _high_probability(c1, seats[0], deck)
+    high2 = u[:, 3] < _high_probability(c2, seats[1], deck)
     above, tie = c1 > c2, c1 == c2
     both_high = high1 & high2
     both_low = ~(high1 | high2)
@@ -189,9 +179,7 @@ def _tally(u: np.ndarray, deck: int | None, seats: tuple, columns: tuple) -> np.
     )
 
 
-def _chunk_counts(
-    seed: int, index: int, n: int, deck: int | None, seats: tuple, mirrored: bool
-) -> np.ndarray:
+def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple) -> np.ndarray:
     """``_tally`` counts of chunk ``index``: ``n`` settled hands and their replays.
 
     Each round deals again the hands the round before replayed; which hands
@@ -199,7 +187,6 @@ def _chunk_counts(
     ``_BLOCK`` deals at a time, which continues the one Philox sequence.
     """
     rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(index))
-    columns = (1, 0, 3, 2) if mirrored else (0, 1, 2, 3)
     counts = np.zeros(5, dtype=np.int64)
     pending = n
     rounds = 0
@@ -210,7 +197,7 @@ def _chunk_counts(
         replayed = 0
         for start in range(0, pending, _BLOCK):
             u = rng.random((min(_BLOCK, pending - start), 4))
-            block = _tally(u, deck, seats, columns)
+            block = _tally(u, deck, seats)
             counts += block
             replayed += int(block[4])
         pending = replayed
@@ -231,7 +218,6 @@ def simulate(
     hands: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mirrored: bool = False,
 ) -> MCEstimate:
     """Estimate player 1's expected payoff from ``hands`` settled hands.
 
@@ -254,7 +240,7 @@ def simulate(
         counts = np.zeros(5, dtype=np.int64)
         for index in range(first, chunks, workers):
             n = min(chunk_size, hands - index * chunk_size)
-            counts += _chunk_counts(seed, index, n, deck, seats, mirrored)
+            counts += _chunk_counts(seed, index, n, deck, seats)
         return counts
 
     if workers == 1:
@@ -266,7 +252,10 @@ def simulate(
             counts = sum(pool.map(stripe, range(workers)))
     wins_a, losses_a, wins_b, losses_b, replays = (int(c) for c in counts)
 
-    a, b = float(cfg.high_bet), float(cfg.low_bet)
+    b = float(cfg.low_bet)
+    a = float(cfg.high_bet) if wins_a + losses_a else b  # no hand paid a: b sets k
+    k = _unit_exponent(a, b)
+    a, b = math.ldexp(a, -k), math.ldexp(b, -k)
     mean = ((wins_a - losses_a) * a + (wins_b - losses_b) * b) / hands
     if hands > 1:
         total_sq = (wins_a + losses_a) * (a * a) + (wins_b + losses_b) * (b * b)
@@ -275,8 +264,8 @@ def simulate(
     else:
         std_error = 0.0
     return MCEstimate(
-        mean=mean,
-        std_error=std_error,
+        mean=math.ldexp(mean, k),
+        std_error=math.ldexp(std_error, k),
         hands=hands,
         seed=seed,
         replay_rate=replays / (hands + replays),
@@ -311,8 +300,6 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     settled_sum = _payoff_terms(cfg.high_bet, cfg.low_bet, counts, p1, p2).value
     pairs = Fraction(m * m)
     replay_probability = np.dot(counts, p1 * p2 + (1 - p1) * (1 - p2)) / pairs
-    if replay_probability == 1:
-        raise ValueError("every deal replays; the configured game never settles")
     value = (settled_sum / pairs) / (1 - replay_probability)
     return ExactDiscreteValue(value=value, replay_probability=replay_probability)
 
@@ -332,6 +319,8 @@ def convergence_report(
     """
     if not schedule:
         raise ValueError("schedule must contain at least one hand count")
+    if min(schedule) < 1:
+        raise ValueError(f"need at least one hand per row, got {min(schedule)}")
     return [
         simulate(cfg, s1, s2, hands=h, seed=seed + k, chunk_size=chunk_size)
         for k, h in enumerate(schedule)

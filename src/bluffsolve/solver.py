@@ -20,17 +20,15 @@ advances two sequences of curves together:
 (b) Projected subgradient descent on e with Polyak's step size (Polyak,
     1969), using the known lower bound e >= 0 (the game value):
     y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
-    payoff of y's best response, a subgradient of e at y. The step is taken
-    at the bets divided by 2**k, with 2**k the power of two that puts the
-    high bet in [1/2, 1), so |g|^2 neither overflows nor underflows at any
-    bet scale. Power-of-two scaling is exact: the step is the one the true
-    bets give wherever their arithmetic stays in range.
+    payoff of y's best response, a subgradient of e at y.
 
 Every iterate of both sequences is certified by the exact continuous
 exploitability, the solver returns the best certified iterate, and it stops
 at the first one within epsilon. Each step reuses the arrays of the last two
 certificates: PRM+ integrates the EV gap at the bin edges of x's, and the
-Polyak gradient runs on the merged grid and rule curve of y's.
+Polyak gradient runs on the merged grid and rule curve of y's. The EV gaps
+and the Polyak step run at the bets over 2**``analytic._unit_exponent``, where
+no gap or |g|^2 overflows or underflows; payoffs use the true bets.
 
 Neither sequence suffices alone. PRM+ minimises regret in the bin-restricted
 game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +58,7 @@ import numpy as np
 from .analytic import (
     _ev_arrays,
     _payoff_terms,
+    _unit_exponent,
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
@@ -134,7 +132,8 @@ def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
 def best_response(cfg: GameConfig, opponent: Strategy) -> BestResponse:
     """Exact pure best response against a fixed opponent (ties bet High)."""
     evs = conditional_evs(cfg, opponent)
-    d = np.asarray(evs.ev_high.values) - np.asarray(evs.ev_low.values)
+    k = _unit_exponent(float(cfg.high_bet), float(cfg.low_bet))
+    d = np.ldexp(evs.ev_high.values, -k) - np.ldexp(evs.ev_low.values, -k)
     breakpoints, high = _action_rule(np.asarray(evs.ev_high.knots), d)
     rule = Strategy(breakpoints=tuple(breakpoints.tolist()), high_prob=tuple(high.tolist()))
     value = expected_payoff(cfg, rule, opponent).value
@@ -146,16 +145,12 @@ def exploitability(cfg: GameConfig, s: Strategy) -> float:
     return best_response(cfg, s).value
 
 
-def _bin_edges(bins: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, bins + 1)
-
-
 class _Response(NamedTuple):
     """A binned best response with the arrays the next solver step reuses.
 
-    ``gap`` is ev_high - ev_low at the bin edges against the curve, ``grid``
-    the rule's cuts merged with the interior edges, and ``curve`` the rule's
-    High value per piece of ``grid``.
+    ``gap`` is ev_high - ev_low at the bin edges against the curve, taken at
+    the bets over 2**k, ``grid`` the rule's cuts merged with the interior
+    edges, and ``curve`` the rule's High value per piece of ``grid``.
     """
 
     rule: _Rule
@@ -171,7 +166,8 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     Runs the kernels of ``best_response(cfg, Strategy(edges[1:-1], h))`` on
     the same grids, so rule and value equal that call's exactly.
     """
-    ev_high, ev_low = _ev_arrays(a, b, edges, h)
+    k = _unit_exponent(a, b)
+    ev_high, ev_low = _ev_arrays(math.ldexp(a, -k), math.ldexp(b, -k), edges, h)
     gap = ev_high - ev_low
     breakpoints, high = _action_rule(edges, gap)
     interior = edges[1:-1]
@@ -224,16 +220,16 @@ def fictitious_play(
         raise ValueError("fictitious play runs on the continuous card model")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     # The Polyak step runs at the bets over 2**k (see the module docstring).
-    k = math.frexp(a)[1]
+    k = _unit_exponent(a, b)
     a_unit, b_unit = math.ldexp(a, -k), math.ldexp(b, -k)
-    edges = _bin_edges(bins)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     widths = np.diff(edges)
     x = y = np.full(bins, 0.5)
     x_response = y_response = _binned_response(a, b, edges, y)
@@ -313,13 +309,10 @@ def ratio_sweep(
     so epsilon is in units of the low bet). Non-convergence is flagged on the
     row, not raised.
     """
+    # Every ratio is checked before any is solved.
+    configs = [GameConfig(ratio, 1) for ratio in ratios]
     rows = []
-    for ratio in ratios:
-        if not math.isfinite(ratio):
-            raise ValueError(f"bet ratio must be finite, got {ratio!r}")
-        if ratio <= 1.0:
-            raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
-        cfg = GameConfig(Fraction(ratio), Fraction(1))
+    for ratio, cfg in zip(ratios, configs):
         point = closed_form_equilibrium(cfg)
         result = fictitious_play(cfg, bins=bins, epsilon=epsilon, max_iters=max_iters)
         rows.append(

@@ -198,7 +198,6 @@ def simulate_reference(
     hands: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mirrored: bool = False,
 ) -> MCEstimate:
     """``montecarlo.simulate`` with a payoff per hand, summed chunk by chunk.
 
@@ -225,8 +224,6 @@ def simulate_reference(
             rounds += 1
             assert rounds <= MAX_CONSECUTIVE_REPLAYS
             u = rng.random((pending.size, 4))
-            if mirrored:
-                u = u[:, [1, 0, 3, 2]]
             if deck is None:
                 c1, c2 = u[:, 0], u[:, 1]
                 tie = c1 == c2

@@ -149,7 +149,7 @@ def test_criterion_8_cross_validation():
             pytest.fail(f"Monte Carlo disagreed three times on pair {pair_index}")
 
         discrete = brute_force_discrete(cfg_discrete, s1, s2)
-        assert abs(discrete.value_float - exact) <= 5e-3, pair_index
+        assert abs(float(discrete.value) - exact) <= 5e-3, pair_index
     assert time.perf_counter() - start < 120.0
     _report(8, "analytic / Monte Carlo / discrete cross-validation")
 

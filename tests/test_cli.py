@@ -752,6 +752,7 @@ def fuzz_paths(tmp_path_factory):
 @example(["exploit", "--ratio", "1e308", "--s", "threshold:0.5:0.25"])
 @example(["evs", "--opponent", "a-type", "--grid", str(10**15)])
 @example(["exploit", "--a", "2e-300", "--b", "1e-300", "--s", "threshold:0.5:0.3"])
+@example(["exploit", "--a", "1e308", "--b", "5e307", "--s", "a-type"])
 def test_any_argv_exits_cleanly(fuzz_paths, argv):
     for placeholder, path in fuzz_paths.items():
         argv = [arg.replace(placeholder, path) for arg in argv]

@@ -13,7 +13,6 @@ from bluffsolve.engine import (
     GameConfig,
     Settlement,
     settle,
-    validate_config,
 )
 
 HIGH, LOW = BetAction.HIGH, BetAction.LOW
@@ -27,7 +26,6 @@ def cfg():
 class TestConfig:
     def test_default_game_is_valid(self):
         cfg = GameConfig(2, 1)
-        assert validate_config(cfg) is cfg
         assert cfg.ratio == 2
         assert cfg.is_continuous
 
@@ -56,6 +54,11 @@ class TestConfig:
         for high, low in ((2, 1e-308), (1e308, 0.5), (largest, 0.5)):
             with pytest.raises(ConfigError, match="largest float"):
                 GameConfig(high, low)
+
+    @pytest.mark.parametrize("high, low", [(float("inf"), 1), (2, float("nan")), ("x", 1)])
+    def test_non_finite_bets_rejected(self, high, low):
+        with pytest.raises(ConfigError, match="bets must be finite numbers"):
+            GameConfig(high, low)
 
     def test_degenerate_deck_rejected(self):
         with pytest.raises(ConfigError):

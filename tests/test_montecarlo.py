@@ -1,6 +1,7 @@
 """Monte Carlo estimator and the exact discrete-deck oracle."""
 
 import concurrent.futures
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -65,13 +66,6 @@ class TestSimulate:
         assert est.chunk_size == 1234
         assert est.seed == 4
 
-    def test_mirrored_seats_negate_exactly(self):
-        fwd = simulate(CFG, SIGMA, a_type(), hands=60_000, seed=5)
-        rev = simulate(CFG, a_type(), SIGMA, hands=60_000, seed=5, mirrored=True)
-        assert rev.mean == -fwd.mean
-        assert rev.std_error == fwd.std_error
-        assert rev.replay_rate == fwd.replay_rate
-
     def test_discrete_replay_rate(self):
         cfg = GameConfig(2, 1, deck_size=2)
         est = simulate(cfg, a_type(), a_type(), hands=100_000, seed=6)
@@ -95,6 +89,33 @@ class TestSimulate:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             simulate(huge, SIGMA, SIGMA, hands=10, seed=0)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_scales_with_the_bets(self, k):
+        # Scaling both bets by 2**k scales every payoff exactly; a squared
+        # bet at the true bets would overflow or underflow.
+        s1, s2, scale = a_type(), threshold_mix(0.5, 0.3), Fraction(2) ** k
+        base = simulate(GameConfig(3, 2), s1, s2, hands=10_000, seed=1)
+        scaled = simulate(GameConfig(3 * scale, 2 * scale), s1, s2, hands=10_000, seed=1)
+        assert scaled == MCEstimate(
+            mean=math.ldexp(base.mean, k),
+            std_error=math.ldexp(base.std_error, k),
+            hands=base.hands,
+            seed=base.seed,
+            replay_rate=base.replay_rate,
+            chunk_size=base.chunk_size,
+        )
+        assert base.std_error > 0.0
+
+    @pytest.mark.parametrize("high, k", [(1.0, -1020), (1e308, 0)])
+    def test_hands_that_pay_only_the_low_bet(self, high, k):
+        # Both bet Low, so every hand pays +-b whatever a is. At the bets
+        # scaled by the high bet, the mean (about b/100) would be subnormal.
+        low = math.ldexp(1.1, k)
+        est = simulate(GameConfig(high, low), b_type(), b_type(), hands=1000, seed=1)
+        base = simulate(GameConfig(3, 1.1), b_type(), b_type(), hands=1000, seed=1)
+        scaled = dict(mean=math.ldexp(base.mean, k), std_error=math.ldexp(base.std_error, k))
+        assert est == dataclasses.replace(base, **scaled)
+
     def test_chunk_size_does_not_size_the_seat_tables(self):
         # A table entry per card of this deck would take 8 PB a seat.
         cfg = GameConfig(2, 1, deck_size=10**15)
@@ -107,30 +128,31 @@ class TestCountedKernel:
     """``simulate`` tallies outcome classes; the reference sums payoff arrays."""
 
     @pytest.mark.parametrize("chunk_size", [1234, DEFAULT_CHUNK_SIZE])
-    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize(
         "deck, grid, breakpoints",
         # Breakpoints on the grid i/(M-1) put cards exactly on them; M = 5001
         # exceeds the table's cells, so it looks pieces up in a cell table
         # over i/(M-1). The grid 1/4096 puts breakpoints on the continuous
         # deck's cell edges; thousands of breakpoints split thousands of cells.
+        # The ids end in "False", as they did when a seat-swapped run of
+        # each case (ids ending in "True") ran beside it.
         [
-            pytest.param(None, None, 6, id="None-None"),
-            pytest.param(None, 4096, 6, id="None-4096"),
-            pytest.param(None, None, 8000, id="None-dense"),
-            pytest.param(2, None, 6, id="2-None"),
-            pytest.param(11, 10, 6, id="11-10"),
-            pytest.param(1001, 1000, 6, id="1001-1000"),
-            pytest.param(5001, 1000, 6, id="5001-1000"),
+            pytest.param(None, None, 6, id="None-None-False"),
+            pytest.param(None, 4096, 6, id="None-4096-False"),
+            pytest.param(None, None, 8000, id="None-dense-False"),
+            pytest.param(2, None, 6, id="2-None-False"),
+            pytest.param(11, 10, 6, id="11-10-False"),
+            pytest.param(1001, 1000, 6, id="1001-1000-False"),
+            pytest.param(5001, 1000, 6, id="5001-1000-False"),
         ],
     )
-    def test_matches_payoff_array_reference(self, deck, grid, breakpoints, mirrored, chunk_size):
+    def test_matches_payoff_array_reference(self, deck, grid, breakpoints, chunk_size):
         rng = np.random.default_rng([deck or 0, chunk_size])
         cfg = GameConfig(2, 1, deck_size=deck)
         s1, s2 = (random_strategy(rng, breakpoints, grid=grid) for _ in range(2))
         hands = 10_001 if chunk_size == 1234 else chunk_size + 70_001
         args = (cfg, s1, s2)
-        kwargs = dict(hands=hands, seed=deck or 1, chunk_size=chunk_size, mirrored=mirrored)
+        kwargs = dict(hands=hands, seed=deck or 1, chunk_size=chunk_size)
         assert simulate(*args, **kwargs) == simulate_reference(*args, **kwargs)
 
     @pytest.mark.parametrize("deck", [None, 2, 11])
@@ -154,10 +176,6 @@ class TestCountedKernel:
         ref = simulate_reference(cfg, s1, s2, hands=100_000, seed=5, chunk_size=1234)
         assert abs(est.mean - ref.mean) <= 1e-15 * abs(ref.mean)
         assert est.replay_rate == ref.replay_rate
-        rev = simulate(cfg, s2, s1, hands=100_000, seed=5, chunk_size=1234, mirrored=True)
-        assert rev.mean == -est.mean
-        assert rev.std_error == est.std_error
-        assert rev.replay_rate == est.replay_rate
 
     def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
         # More workers than cores, switching threads as often as they can,
@@ -265,7 +283,7 @@ class TestBruteForceDiscrete:
         for m in (101, 1001):
             cfg = GameConfig(2, 1, deck_size=m)
             result = brute_force_discrete(cfg, SIGMA, m_deterministic(0.25))
-            gaps.append(abs(result.value_float - continuous))
+            gaps.append(abs(float(result.value) - continuous))
         assert gaps[1] < gaps[0]
         assert gaps[1] <= 5e-3
 
@@ -315,3 +333,11 @@ class TestConvergenceReport:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             convergence_report(CFG, SIGMA, SIGMA, [], seed=0)
+
+    def test_every_hand_count_is_checked_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran before the schedule was checked")
+
+        monkeypatch.setattr(montecarlo, "simulate", no_run)
+        with pytest.raises(ValueError, match="at least one hand"):
+            convergence_report(CFG, SIGMA, SIGMA, [10**6, 0], seed=0)

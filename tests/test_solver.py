@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluffsolve import solver
-from bluffsolve.analytic import _ev_arrays, closed_form_equilibrium, expected_payoff
-from bluffsolve.engine import GameConfig
+from bluffsolve.analytic import (
+    _ev_arrays,
+    _unit_exponent,
+    closed_form_equilibrium,
+    expected_payoff,
+)
+from bluffsolve.engine import ConfigError, GameConfig
 from bluffsolve.montecarlo import simulate
 from bluffsolve.solver import best_response, exploitability, fictitious_play, ratio_sweep
 from bluffsolve.strategy import (
@@ -72,7 +77,7 @@ class TestBinnedResponse:
 
     @staticmethod
     def assert_matches_public(cfg, h):
-        edges = solver._bin_edges(len(h))
+        edges = np.linspace(0.0, 1.0, len(h) + 1)
         response = solver._binned_response(float(cfg.high_bet), float(cfg.low_bet), edges, h)
         breakpoints, high = response.rule
         public = best_response(cfg, Strategy(tuple(edges[1:-1].tolist()), tuple(h.tolist())))
@@ -96,7 +101,7 @@ class TestBinnedResponse:
     def test_exact_gap_zeros_at_knots(self, bins):
         # h = p* below t* = 1/2: the EV gap vanishes on [0, t*], and in floats
         # exactly at some knots, where the tie rule decides the action.
-        edges = solver._bin_edges(bins)
+        edges = np.linspace(0.0, 1.0, bins + 1)
         h = np.where(edges[:-1] < 0.5, 1 / 3, 1.0)
         ev_high, ev_low = _ev_arrays(2.0, 1.0, edges, h)
         assert np.any(ev_high == ev_low)
@@ -105,15 +110,18 @@ class TestBinnedResponse:
     @pytest.mark.parametrize("bins", [2, 16, 200])
     def test_reused_arrays_equal_the_bin_integrals(self, bins):
         # The solver's next step reads these arrays, so they must equal the
-        # bin integrals of _bin_gaps and the merged grid, bit for bit.
+        # bin integrals of _bin_gaps, at the same bets over 2**k, and the
+        # merged grid, bit for bit.
         rng = np.random.default_rng(bins)
-        edges = solver._bin_edges(bins)
+        edges = np.linspace(0.0, 1.0, bins + 1)
         for ratio in (1.5, 2.0, 3.0):
             h = rng.random(bins)
             response = solver._binned_response(ratio, 1.0, edges, h)
             gap = response.gap
             integrals = np.diff(edges) * (gap[:-1] + gap[1:]) / 2.0
-            assert np.array_equal(integrals, solver._bin_gaps(ratio, 1.0, edges, edges[1:-1], h))
+            k = _unit_exponent(ratio, 1.0)
+            a, b = math.ldexp(ratio, -k), math.ldexp(1.0, -k)
+            assert np.array_equal(integrals, solver._bin_gaps(a, b, edges, edges[1:-1], h))
             grid = merge_breakpoints(response.rule[0], edges[1:-1])
             assert np.array_equal(response.grid, grid)
             assert np.array_equal(response.curve, probabilities_on(*response.rule, grid))
@@ -127,11 +135,20 @@ class TestExploitability:
         assert exploitability(CFG, b_type()) == pytest.approx(1.0, abs=1e-12)
         assert exploitability(CFG, a_type()) == pytest.approx(0.125, abs=1e-12)
 
-    @pytest.mark.parametrize("exponent", [-305, -300, -200, -150, 0, 150, 300, 307])
-    def test_scales_with_the_bets(self, exponent):
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            *(
+                pytest.param(Fraction(10) ** e, id=str(e))
+                for e in (-305, -300, -200, -150, 0, 150, 300, 307)
+            ),
+            pytest.param(Fraction(5 * 10**307), id="5e307"),
+        ],
+    )
+    def test_scales_with_the_bets(self, scale):
         # At tiny bets the product of two EV gaps underflows to zero, which
-        # must not hide the sign change that places the best response's cut.
-        scale = Fraction(10) ** exponent
+        # must not hide the sign change that places the best response's cut;
+        # near the float maximum the gap a + b itself would overflow.
         value = exploitability(GameConfig(2 * scale, scale), threshold_mix(0.5, 0.3))
         assert value >= 0.0
         expected = float(scale) * exploitability(CFG, threshold_mix(0.5, 0.3))
@@ -144,6 +161,9 @@ class TestExploitability:
         st.floats(1 + 2**-20, 1e3),
         st.floats(1e-300, 1e300),
     )
+    # Ratios near the float maximum, where the EV gap spans a + b.
+    @example(pieces=8, seed=0, ratio=1e308, scale=1.0)
+    @example(pieces=8, seed=1, ratio=9e307, scale=1.1e-308)
     def test_matches_the_exact_oracle(self, pieces, seed, ratio, scale):
         rng = np.random.default_rng(seed)
         breakpoints = np.unique(rng.random(pieces - 1))
@@ -256,9 +276,10 @@ class TestFictitiousPlay:
     def test_scale_equivariant(self, ratio):
         # Scaling both bets by 2**k scales every payoff exactly, so the
         # search must take the same steps; near the float range's ends the
-        # Polyak step's |g|^2 would overflow or underflow at the true bets.
+        # Polyak step's |g|^2, and at 2**1022 the EV gap, would overflow or
+        # underflow at the true bets.
         base = fictitious_play(GameConfig(Fraction(ratio), 1), bins=16, epsilon=1e-4, max_iters=300)
-        for k in (-1000, -700, -500, 0, 500, 700, 1000):
+        for k in (-1000, -700, -500, 0, 500, 700, 1000, 1021, 1022):
             scale = Fraction(2) ** k
             cfg = GameConfig(Fraction(ratio) * scale, scale)
             result = fictitious_play(cfg, bins=16, epsilon=math.ldexp(1e-4, k), max_iters=300)
@@ -297,7 +318,7 @@ class TestFictitiousPlay:
         result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
         # The start, two iterates per step, and the trace's averages.
         assert len(certified) >= 1 + 2 * (result.iterations - 1)
-        interior = tuple(solver._bin_edges(bins)[1:-1].tolist())
+        interior = tuple(np.linspace(0.0, 1.0, bins + 1)[1:-1].tolist())
         for h, value in certified:
             assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
         assert any(value == result.exploitability for _, value in certified)
@@ -331,6 +352,12 @@ class TestFictitiousPlay:
         with pytest.raises(ValueError):
             fictitious_play(GameConfig(2, 1, deck_size=5), bins=10, epsilon=1e-3)
 
+    def test_rejects_non_finite_epsilon(self):
+        # Every exploitability is within an infinite epsilon, so the search
+        # would stop at once and report convergence.
+        with pytest.raises(ValueError, match="finite"):
+            fictitious_play(CFG, bins=10, epsilon=float("inf"))
+
 
 class TestRatioSweep:
     def test_rows_match_closed_form_and_converge(self):
@@ -362,3 +389,11 @@ class TestRatioSweep:
     def test_rejects_non_finite_ratio(self, ratio):
         with pytest.raises(ValueError, match="finite"):
             ratio_sweep([ratio], bins=2, epsilon=1e-2)
+
+    def test_every_ratio_is_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a ratio was solved before all were checked")
+
+        monkeypatch.setattr(solver, "fictitious_play", no_solve)
+        with pytest.raises(ConfigError, match="finite"):
+            ratio_sweep([2.0, 3.0, float("nan")], bins=2, epsilon=1e-2)
