@@ -72,20 +72,28 @@ class EquilibriumPoint:
     p_star: float
 
 
+# The kernels below call ufunc methods (np.add.reduce, np.add.accumulate),
+# array methods and slice differences instead of np.sum, np.cumsum and
+# np.diff: on the solver's 200-element arrays, numpy's Python-level wrappers
+# cost more than the arithmetic. Each does the same operations in the same
+# order, so every bit of every result is the same.
+
+
 def _common_grid(s1: Strategy, s2: Strategy):
     r1, r2 = refine(s1, s2)
-    lengths = np.diff(np.array((0.0, *r1.breakpoints, 1.0)))
-    return lengths, np.array(r1.high_prob), np.array(r2.high_prob)
+    knots = np.array((0.0, *r1.breakpoints, 1.0))
+    return knots[1:] - knots[:-1], np.array(r1.high_prob), np.array(r2.high_prob)
 
 
-def _sign_weighted_sum(x: np.ndarray, y: np.ndarray):
+def _sign_weighted_sum(x: np.ndarray, y: np.ndarray, y_total):
     # sum_{i,j} x_i y_j sgn(i - j): pair each piece with the weight strictly
-    # below minus the weight strictly above it. The integer zero keeps an
-    # object array of Fractions exact and gives 0.0 in a float array.
-    below = np.cumsum(y)
+    # below minus the weight strictly above it; ``y_total`` is the sum of y.
+    # The integer zero keeps an object array of Fractions exact and gives 0.0
+    # in a float array.
+    below = np.add.accumulate(y)
     below[1:] = below[:-1]
     below[0] = 0
-    above = y.sum() - below - y
+    above = y_total - below - y
     return np.dot(x, below - above)
 
 
@@ -100,10 +108,11 @@ def _payoff_terms(
     """
     w1h, w1l = weights * h1, weights * (1 - h1)
     w2h, w2l = weights * h2, weights * (1 - h2)
-    hh = a * _sign_weighted_sum(w1h, w2h)
-    hl = b * w1h.sum() * w2l.sum()
-    lh = -b * w1l.sum() * w2h.sum()
-    ll = b * _sign_weighted_sum(w1l, w2l)
+    total2h, total2l = np.add.reduce(w2h), np.add.reduce(w2l)
+    hh = a * _sign_weighted_sum(w1h, w2h, total2h)
+    hl = b * np.add.reduce(w1h) * total2l
+    lh = -b * np.add.reduce(w1l) * total2h
+    ll = b * _sign_weighted_sum(w1l, w2l, total2l)
     hh, hl, lh, ll = np.array((hh, hl, lh, ll)).tolist()
     return PayoffValue(value=hh + hl + lh + ll, hh=hh, hl=hl, lh=lh, ll=ll)
 
@@ -126,14 +135,14 @@ def _ev_arrays(
     a: float, b: float, knots: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ev_high, ev_low) at ``knots`` against the per-piece High curve ``h``."""
-    lengths = np.diff(knots)
+    lengths = knots[1:] - knots[:-1]
     mass_high = lengths * h
     mass_low = lengths * (1.0 - h)
-    total_high = float(mass_high.sum())
-    total_low = float(mass_low.sum())
+    total_high = float(np.add.reduce(mass_high))
+    total_low = float(np.add.reduce(mass_low))
     # Cumulative opponent mass strictly below each knot.
-    below_high = np.concatenate(([0.0], np.cumsum(mass_high)))
-    below_low = np.concatenate(([0.0], np.cumsum(mass_low)))
+    below_high = np.concatenate(([0.0], np.add.accumulate(mass_high)))
+    below_low = np.concatenate(([0.0], np.add.accumulate(mass_low)))
     ev_high = b * total_low + a * (2.0 * below_high - total_high)
     ev_low = -b * total_high + b * (2.0 * below_low - total_low)
     return ev_high, ev_low

@@ -208,9 +208,27 @@ def build_parser() -> argparse.ArgumentParser:
     dump = group()
     dump.add_argument("--dump-strategy", default=None)
     solving = group()
-    solving.add_argument("--bins", type=int, default=200)
-    solving.add_argument("--epsilon", type=float, default=1e-3)
-    solving.add_argument("--max-iters", type=int, default=5000)
+    solving.add_argument(
+        "--bins",
+        type=int,
+        default=200,
+        help="solve over strategies constant on this many equal bins of [0, 1], at least 2 "
+        "(default 200)",
+    )
+    solving.add_argument(
+        "--epsilon",
+        type=float,
+        default=1e-3,
+        help="stop at the first iterate whose exact exploitability is at most this; an "
+        "absolute payoff, in units of the low bet when b = 1 (default 1e-3)",
+    )
+    solving.add_argument(
+        "--max-iters",
+        type=int,
+        default=5000,
+        help="solver steps at most; a run that ends here reports its best iterate as not "
+        "converged (default 5000)",
+    )
     strict = group()  # its own group: sweep's usage line puts --format before it
     strict.add_argument("--strict", action="store_true", help="exit 1 on non-convergence")
     grid = group()

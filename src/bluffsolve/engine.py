@@ -55,18 +55,21 @@ class GameConfig:
     deck_size: int | None = None
 
     def __post_init__(self) -> None:
+        # Messages show the bets as given: the exact Fraction of a float such
+        # as 0.3 or 1e-308 prints with dozens to hundreds of digits.
+        high, low = self.high_bet, self.low_bet
         try:
-            a, b = Fraction(self.high_bet), Fraction(self.low_bet)
+            a, b = Fraction(high), Fraction(low)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(
-                f"bets must be finite numbers, got high={self.high_bet!r} low={self.low_bet!r}"
+                f"bets must be finite numbers, got high={high!r} low={low!r}"
             ) from exc
         object.__setattr__(self, "high_bet", a)
         object.__setattr__(self, "low_bet", b)
         if b <= 0:
-            raise ConfigError(f"low bet must be positive, got {b}")
+            raise ConfigError(f"low bet must be positive, got {low}")
         if a <= b:
-            raise ConfigError(f"high bet must exceed low bet, got high={a} low={b}")
+            raise ConfigError(f"high bet must exceed low bet, got high={high} low={low}")
         # a/b > _FLOAT_MAX, cross-multiplied: a Fraction division costs more
         # than the rest of the validation together.
         if a.numerator * b.denominator > _FLOAT_MAX * a.denominator * b.numerator:

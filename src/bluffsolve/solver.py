@@ -118,14 +118,15 @@ def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
     # and would drop the root, and one of huge gaps overflows.
     k0, k1, d0, d1 = knots[:-1], knots[1:], d[:-1], d[1:]
     sign = np.sign(d)
-    crossing = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    crossing = (sign[:-1] * sign[1:] < 0.0).nonzero()[0]
     k0, k1, d0, d1 = k0[crossing], k1[crossing], d0[crossing], d1[crossing]
     roots = k0 + (k1 - k0) * d0 / (d0 - d1)
-    cuts = np.sort(np.concatenate((knots, roots[(k0 < roots) & (roots < k1)])))
+    cuts = np.concatenate((knots, roots[(k0 < roots) & (roots < k1)]))
+    cuts.sort()
 
     # Classify each cell by the difference at its midpoint; ties go High.
     actions = np.interp((cuts[:-1] + cuts[1:]) / 2.0, knots, d) >= 0.0
-    changes = np.flatnonzero(actions[1:] != actions[:-1]) + 1
+    changes = (actions[1:] != actions[:-1]).nonzero()[0] + 1
     return cuts[changes], actions[np.concatenate(([0], changes))].astype(float)
 
 
@@ -173,12 +174,9 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     interior = edges[1:-1]
     grid = merge_breakpoints(breakpoints, interior)
     curve = probabilities_on(breakpoints, high, grid)
+    knots = np.concatenate(([0.0], grid, [1.0]))
     payoff = _payoff_terms(
-        a,
-        b,
-        np.diff(np.concatenate(([0.0], grid, [1.0]))),
-        curve,
-        probabilities_on(interior, h, grid),
+        a, b, knots[1:] - knots[:-1], curve, probabilities_on(interior, h, grid)
     )
     return _Response((breakpoints, high), payoff.value, gap, grid, curve)
 
@@ -195,8 +193,8 @@ def _bin_gaps(
     knots = np.concatenate(([0.0], grid, [1.0]))
     ev_high, ev_low = _ev_arrays(a, b, knots, h)
     gap = ev_high - ev_low
-    pieces = np.diff(knots) * (gap[:-1] + gap[1:]) / 2.0
-    return np.add.reduceat(pieces, np.searchsorted(knots, edges[:-1]))
+    pieces = (knots[1:] - knots[:-1]) * (gap[:-1] + gap[1:]) / 2.0
+    return np.add.reduceat(pieces, knots.searchsorted(edges[:-1]))
 
 
 def fictitious_play(
@@ -230,8 +228,8 @@ def fictitious_play(
     k = _unit_exponent(a, b)
     a_unit, b_unit = math.ldexp(a, -k), math.ldexp(b, -k)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    widths = np.diff(edges)
-    x = y = np.full(bins, 0.5)
+    widths = edges[1:] - edges[:-1]
+    x = y = half = np.full(bins, 0.5)
     x_response = y_response = _binned_response(a, b, edges, y)
     best_h, best_value = y, y_response.value
 
@@ -261,7 +259,7 @@ def fictitious_play(
         regret_low = np.maximum(regret_low + last_low, 0.0)
         high_part = np.maximum(regret_high + last_high, 0.0)
         total = high_part + np.maximum(regret_low + last_low, 0.0)
-        x = np.divide(high_part, total, out=np.full(bins, 0.5), where=total > 0.0)
+        x = np.divide(high_part, total, out=half.copy(), where=total > 0.0)
         weighted_sum += iterations * x
         weight += iterations
         x_response = certify(x)
@@ -274,7 +272,7 @@ def fictitious_play(
         g = -_bin_gaps(a_unit, b_unit, edges, y_response.grid, y_response.curve)
         norm = float(g @ g)
         if norm > 0.0:
-            y = np.clip(y - (math.ldexp(y_response.value, -k) / norm) * g, 0.0, 1.0)
+            y = (y - (math.ldexp(y_response.value, -k) / norm) * g).clip(0.0, 1.0)
         y_response = certify(y)
 
         if iterations % 50 == 0:

@@ -15,6 +15,7 @@ probability p below t, High at and above).
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any
@@ -98,6 +99,18 @@ def _validate(breakpoints: tuple[float, ...], high_prob: tuple[float, ...]) -> N
             f"{len(breakpoints)} breakpoints require {len(breakpoints) + 1} "
             f"probabilities, got {len(high_prob)}"
         )
+    # C-level passes first; the loops below only name the first offender. A
+    # comparison with NaN is false, and a NaN makes the sum NaN, which min and
+    # max would miss, so no invalid input gets through.
+    total = sum(high_prob)
+    if (
+        (not breakpoints or (0.0 < breakpoints[0] and breakpoints[-1] < 1.0))
+        and all(map(operator.lt, breakpoints, breakpoints[1:]))
+        and total == total
+        and 0.0 <= min(high_prob)
+        and max(high_prob) <= 1.0
+    ):
+        return
     for i, x in enumerate(breakpoints):
         if not 0.0 < x < 1.0:
             raise StrategyError(f"breakpoints[{i}]={x!r} must lie strictly inside (0, 1)")
@@ -137,9 +150,11 @@ def merge_breakpoints(x, y) -> np.ndarray:
     Sort plus a duplicate mask: ``np.union1d``/``np.unique`` would import
     ``numpy.ma`` on first use, which costs every CLI process memory.
     """
-    merged = np.sort(np.concatenate((np.asarray(x, dtype=float), np.asarray(y, dtype=float))))
-    keep = np.ones(len(merged), dtype=bool)
-    keep[1:] = merged[1:] != merged[:-1]
+    merged = np.concatenate((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    merged.sort()
+    keep = np.empty(len(merged), dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     return merged[keep]
 
 
@@ -151,7 +166,7 @@ def probabilities_on(breakpoints, high_prob, grid: np.ndarray) -> np.ndarray:
     ``Strategy.high_probability`` does.
     """
     starts = np.concatenate(([0.0], grid))
-    pieces = np.searchsorted(np.asarray(breakpoints, dtype=float), starts, side="right")
+    pieces = np.asarray(breakpoints, dtype=float).searchsorted(starts, side="right")
     return np.asarray(high_prob, dtype=float)[pieces]
 
 

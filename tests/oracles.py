@@ -285,6 +285,26 @@ def _sign_weighted_sum(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
     return acc
 
 
+def payoff_terms_double_sum(
+    a: Fraction, b: Fraction, weights: list[Fraction], h1: list[Fraction], h2: list[Fraction]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(hh, hl, lh, ll) of curve ``h1`` vs ``h2`` per piece, as a literal double sum.
+
+    Every pair of pieces (i, j) adds its weight product times the settlement of
+    each bet pair; equal pieces compare as a tie (sgn 0).
+    """
+    hh = hl = lh = ll = Fraction(0)
+    for i, (w1, p1) in enumerate(zip(weights, h1)):
+        for j, (w2, p2) in enumerate(zip(weights, h2)):
+            sign = (i > j) - (i < j)
+            pair = w1 * w2
+            hh += pair * p1 * p2 * a * sign
+            hl += pair * p1 * (1 - p2) * b
+            lh -= pair * (1 - p1) * p2 * b
+            ll += pair * (1 - p1) * (1 - p2) * b * sign
+    return hh, hl, lh, ll
+
+
 def brute_force_reference(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDiscreteValue:
     """``montecarlo.brute_force_discrete`` summed over every card.
 

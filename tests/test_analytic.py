@@ -1,12 +1,15 @@
 """Closed-form payoff engine vs independent oracles, indifference solver,
 equilibrium, and the strategy-type payoff table."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bluffsolve.analytic import (
+    _payoff_terms,
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
@@ -15,9 +18,10 @@ from bluffsolve.analytic import (
     taxonomy_table,
 )
 from bluffsolve.engine import GameConfig
-from bluffsolve.strategy import Strategy, a_type, b_type, m_deterministic, threshold_mix
+from bluffsolve.strategy import Strategy, a_type, b_type, m_deterministic, refine, threshold_mix
 
 from .oracles import (
+    payoff_terms_double_sum,
     quad_ev_high,
     quad_ev_low,
     quad_payoff,
@@ -92,6 +96,37 @@ class TestExpectedPayoff:
             direct = expected_payoff(CFG, s1, s2).value
             via_evs = response_value(s1, conditional_evs(CFG, s2))
             assert direct == pytest.approx(via_evs, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "seed, high, low",
+        [(0, 2, 1), (1, 3, 1), (2, 1.5, 1), (3, 1e6, 1), (4, 0.75, 0.5), (5, 2.5e300, 1e300)],
+    )
+    def test_within_a_rounding_bound_of_the_kernel_in_fractions(self, seed, high, low):
+        # The payoff kernel on object arrays of the exact Fractions of the
+        # floats, on the same merged grid, is exact; it must equal a literal
+        # double sum, and the float payoff must lie within the bound below.
+        rng = np.random.default_rng(seed)
+        cfg = GameConfig(high, low)
+        s1, s2 = random_strategy(rng, max_breakpoints=30), random_strategy(rng, max_breakpoints=30)
+        r1, r2 = refine(s1, s2)
+        knots = [Fraction(k) for k in (0.0, *r1.breakpoints, 1.0)]
+        weights = [k1 - k0 for k0, k1 in zip(knots, knots[1:])]
+        h1, h2 = ([Fraction(p) for p in r.high_prob] for r in (r1, r2))
+        exact = _payoff_terms(
+            cfg.high_bet, cfg.low_bet, *(np.array(x, dtype=object) for x in (weights, h1, h2))
+        )
+        terms = (exact.hh, exact.hl, exact.lh, exact.ll)
+        assert terms == payoff_terms_double_sum(cfg.high_bet, cfg.low_bet, weights, h1, h2)
+        assert exact.value == sum(terms)
+        # Each term is a few sums over n pieces of weights that total 1, so
+        # it is off by at most a small multiple of n units in the last place
+        # of a + b: 16 (n + 8) u (a + b), u = 2**-53, is a loose such bound.
+        n = len(weights)
+        bound = Fraction(16 * (n + 8), 2**53) * (cfg.high_bet + cfg.low_bet)
+        result = expected_payoff(cfg, s1, s2)
+        for field in ("value", "hh", "hl", "lh", "ll"):
+            error = abs(Fraction(getattr(result, field)) - getattr(exact, field))
+            assert error <= bound, (field, float(error / bound))
 
     def test_rejects_discrete_model(self):
         with pytest.raises(ValueError, match="continuous"):

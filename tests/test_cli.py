@@ -376,6 +376,29 @@ def test_deck_limit_messages(capsys, deck, command, stderr):
 
 
 @pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["sweep", "--ratios", "1e-308", "--bins", "2"],
+            "error: --ratios: high bet must exceed low bet, got high=1e-308 low=1\n",
+        ),
+        (
+            ["equilibrium", "--a", "0.3", "--b", "0.7"],
+            "error: --a/--b: high bet must exceed low bet, got high=0.3 low=0.7\n",
+        ),
+        (
+            ["equilibrium", "--a", "1", "--b", "-0.1"],
+            "error: --a/--b: low bet must be positive, got -0.1\n",
+        ),
+    ],
+    ids=["tiny-ratio", "high-below-low", "negative-low"],
+)
+def test_bet_messages_show_the_bets_as_given(capsys, argv, stderr):
+    # Not as the exact Fraction of the float, which runs to 300 digits.
+    assert run(capsys, *argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["equilibrium", "--out"],

@@ -1,5 +1,6 @@
 """Best response, exploitability, fictitious play, and the ratio sweep."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -31,6 +32,10 @@ from .oracles import exploitability_exact, quad_payoff, random_strategy
 
 CFG = GameConfig(2, 1)
 SIGMA = threshold_mix(0.5, 1 / 3)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestBestResponse:
@@ -259,18 +264,42 @@ class TestFictitiousPlay:
         assert exploitability(CFG, result.strategy) == result.exploitability
 
     @pytest.mark.parametrize(
-        ("ratio", "iterations", "value"),
+        ("ratio", "iterations", "value", "strategy_sha", "trace_sha"),
         [
-            (1.5, 67, "0.0009897607807276276"),
-            (2.0, 99, "0.0008088364235303096"),
-            (3.0, 351, "0.0009899362263166272"),
+            pytest.param(*run, id="-".join(map(str, run[:3])))
+            for run in [
+                (
+                    1.5,
+                    67,
+                    "0.0009897607807276276",
+                    "de7b3cfdd5e26510f944319cb32cfa4f42df5cb1097bb63158d8be7ae4b2defe",
+                    "8a7c1f841cf2ab508601d337cf7870984956cbf0aad5d3d388da68d08a0486ea",
+                ),
+                (
+                    2.0,
+                    99,
+                    "0.0008088364235303096",
+                    "9c3d1ca492dc3a5dead656ec2d2cc3f62a0ec1318f7d28e1e6bc45d062551151",
+                    "944aa7d609b20aba233d42b95e355c4c81b43bdce65c6c6c8c83b2175556aea3",
+                ),
+                (
+                    3.0,
+                    351,
+                    "0.0009899362263166272",
+                    "f844365fa72511434e5066854f4c68aa4ce93d8823e2cbede5f6626952a306d2",
+                    "7f3a4669217a782649dab65031c686a9a096908ea5417dabe952f2dd246e29e7",
+                ),
+            ]
         ],
     )
-    def test_pinned_two_hundred_bin_runs(self, ratio, iterations, value):
-        # Pinned bit for bit: a change to the search's arithmetic, or to
-        # the order of its operations, moves these.
+    def test_pinned_two_hundred_bin_runs(self, ratio, iterations, value, strategy_sha, trace_sha):
+        # Pinned bit for bit, the returned curve and the trace included: a
+        # change to the search's arithmetic, or to the order of its
+        # operations, moves these.
         result = fictitious_play(GameConfig(Fraction(ratio), 1), bins=200, epsilon=1e-3)
         assert (result.iterations, repr(result.exploitability)) == (iterations, value)
+        digests = (sha256(repr(result.strategy)), sha256(repr(result.trace)))
+        assert digests == (strategy_sha, trace_sha)
 
     @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
     def test_scale_equivariant(self, ratio):

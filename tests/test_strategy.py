@@ -1,8 +1,10 @@
 """Strategy curves: lookup, refinement, serialization."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluffsolve.strategy import (
@@ -50,6 +52,67 @@ def test_validation_errors():
         Strategy(breakpoints=(0.0,), high_prob=(0.5, 1.0))
     with pytest.raises(StrategyError):
         threshold_mix(0.5, 2.0)
+
+
+def first_offence(breakpoints, high_prob):
+    """The validation rule, element by element: the first offender's message."""
+    for i, x in enumerate(breakpoints):
+        if not 0.0 < x < 1.0:
+            return f"breakpoints[{i}]={x!r} must lie strictly inside (0, 1)"
+        if i > 0 and not x > breakpoints[i - 1]:
+            return (
+                f"breakpoints must be strictly increasing: "
+                f"breakpoints[{i}]={x!r} <= breakpoints[{i - 1}]={breakpoints[i - 1]!r}"
+            )
+    for i, p in enumerate(high_prob):
+        if not 0.0 <= p <= 1.0:
+            return f"high_prob[{i}]={p!r} must lie in [0, 1]"
+    return None
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0]
+FIELD = st.one_of(
+    st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.floats()
+)
+
+
+@st.composite
+def curve_fields(draw):
+    # A valid curve with up to two entries of each field overwritten, so that
+    # valid curves, single offenders anywhere and pairs of offenders are drawn.
+    k = draw(st.integers(min_value=0, max_value=6))
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    breakpoints = sorted(draw(st.lists(inside, min_size=k, max_size=k, unique=True)))
+    high_prob = draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1))
+    for field in (breakpoints, high_prob):
+        for _ in range(draw(st.integers(min_value=0, max_value=2)) if field else 0):
+            field[draw(st.integers(min_value=0, max_value=len(field) - 1))] = draw(FIELD)
+    return tuple(breakpoints), tuple(high_prob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_fields())
+# Pairs of offenders of different kinds, a NaN that min and max would miss,
+# and signed zeros.
+@example(((0.5, 0.4), (math.nan, 0.0, 0.0)))
+@example(((0.2, 1.0), (2.0, 0.0, 0.0)))
+@example(((0.6, 0.3, -0.0), (0.0, 0.0, 0.0, 0.0)))
+@example(((math.nan, 0.5), (0.0, 0.0, -1.0)))
+@example(((0.3, 0.3), (0.5, 0.5, 0.5)))
+@example(((0.5,), (math.inf, math.nan)))
+@example(((0.5,), (0.5, math.nan)))
+@example(((0.25, 0.75), (0.5, -math.inf, math.nan)))
+@example(((0.5,), (-0.0, 1.0000000000000002)))
+@example(((0.25, 0.75), (0.0, 1.0, -0.0)))
+def test_validation_follows_the_element_rule(fields):
+    breakpoints, high_prob = fields
+    message = first_offence(breakpoints, high_prob)
+    if message is None:
+        assert Strategy(breakpoints, high_prob).breakpoints == breakpoints
+    else:
+        with pytest.raises(StrategyError) as excinfo:
+            Strategy(breakpoints, high_prob)
+        assert str(excinfo.value) == message
 
 
 def test_mean_high_probability():
