@@ -132,10 +132,12 @@ def _unit_exponent(a: float, b: float) -> int:
 
 
 def _ev_arrays(
-    a: float, b: float, knots: np.ndarray, h: np.ndarray
+    a: float, b: float, lengths: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ev_high, ev_low) at ``knots`` against the per-piece High curve ``h``."""
-    lengths = knots[1:] - knots[:-1]
+    """(ev_high, ev_low) at the knots against the per-piece High curve ``h``.
+
+    The knots run from 0 to 1, and ``lengths`` are their differences.
+    """
     mass_high = lengths * h
     mass_low = lengths * (1.0 - h)
     total_high = float(np.add.reduce(mass_high))
@@ -161,9 +163,8 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
     """
     _require_continuous(cfg)
     knots = np.array((0.0, *opponent.breakpoints, 1.0))
-    ev_high, ev_low = _ev_arrays(
-        float(cfg.high_bet), float(cfg.low_bet), knots, np.array(opponent.high_prob)
-    )
+    a, b = float(cfg.high_bet), float(cfg.low_bet)
+    ev_high, ev_low = _ev_arrays(a, b, knots[1:] - knots[:-1], np.array(opponent.high_prob))
     knots_t = tuple(knots.tolist())
     return ConditionalEV(
         ev_high=PiecewiseLinear(knots_t, tuple(ev_high.tolist())),
@@ -202,16 +203,16 @@ def indifference_bluff(ratio: float) -> float:
 
 
 def closed_form_equilibrium(cfg: GameConfig) -> EquilibriumPoint:
-    """Symmetric equilibrium (t*, p*) = (1 - b/a, b/(a+b)).
+    """Symmetric equilibrium (t*, p*) = (1 - b/a, b/(a+b)), correctly rounded.
 
-    Composition of the two indifference conditions; reduces to (0.5, 1/3)
-    at a = 2b.
+    The fixed point of the two indifference conditions; (0.5, 1/3) at a = 2b.
+    With a/b = hi/lo in integers, each is one int/int division, which Python
+    rounds correctly.
     """
     _require_continuous(cfg)
-    ratio = float(cfg.high_bet / cfg.low_bet)
-    p_star = indifference_bluff(ratio)
-    t_star = indifference_threshold(p_star, ratio)
-    return EquilibriumPoint(t_star=t_star, p_star=p_star)
+    a, b = cfg.high_bet, cfg.low_bet
+    hi, lo = a.numerator * b.denominator, b.numerator * a.denominator
+    return EquilibriumPoint(t_star=(hi - lo) / hi, p_star=lo / (hi + lo))
 
 
 def taxonomy_table(cfg: GameConfig) -> dict[str, dict[str, PayoffValue]]:

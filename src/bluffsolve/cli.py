@@ -368,12 +368,9 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
         if not schedule or any(h < 1 for h in schedule):
             raise UsageError("--schedule needs positive hand counts")
     # Row k of a report runs simulate with seed + k, so one row is one plain run.
-    try:
-        report = montecarlo.convergence_report(
-            cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
-        )
-    except ConfigError as exc:
-        raise UsageError(f"--deck: {exc}") from exc
+    report = montecarlo.convergence_report(
+        cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
+    )
     # A report is a table, CSV by default; a single estimate is JSON by default.
     if args.format == "csv" or (args.format is None and args.schedule is not None):
         template = "{},{:.17g},{:.17g},{:.17g},{}"
@@ -387,10 +384,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
 def _cmd_brute_force(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
     if cfg.deck_size is None:
         raise UsageError("brute-force needs a discrete deck: pass --deck M (M >= 2)")
-    try:
-        result = montecarlo.brute_force_discrete(cfg, s1, s2)
-    except ConfigError as exc:
-        raise UsageError(f"--deck: {exc}") from exc
+    result = montecarlo.brute_force_discrete(cfg, s1, s2)
     exact = {}
     for name, value in vars(result).items():
         # Each exact fraction prints as its text, then as the nearest float.

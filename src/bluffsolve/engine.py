@@ -47,7 +47,8 @@ class GameConfig:
     continuous model: card values i.i.d. uniform on [0, 1]. ``deck_size=M``
     (M >= 2) selects the discrete model: the M equally spaced values
     {0, 1/(M-1), ..., 1}, drawn independently with replacement. An invalid bet,
-    ratio (the closed forms need it as a float) or deck raises ``ConfigError``.
+    a high bet or ratio beyond the largest float, or a deck of fewer than 2 or
+    more than 2**53 cards raises ``ConfigError``.
     """
 
     high_bet: Fraction
@@ -70,8 +71,10 @@ class GameConfig:
             raise ConfigError(f"low bet must be positive, got {low}")
         if a <= b:
             raise ConfigError(f"high bet must exceed low bet, got high={high} low={low}")
-        # a/b > _FLOAT_MAX, cross-multiplied: a Fraction division costs more
-        # than the rest of the validation together.
+        # a > _FLOAT_MAX and a/b > _FLOAT_MAX, cross-multiplied: a Fraction
+        # comparison or division costs more than the rest of the validation.
+        if a.numerator > _FLOAT_MAX * a.denominator:
+            raise ConfigError(f"high bet must not exceed the largest float {sys.float_info.max!r}")
         if a.numerator * b.denominator > _FLOAT_MAX * a.denominator * b.numerator:
             raise ConfigError(
                 f"bet ratio a/b must not exceed the largest float {sys.float_info.max!r}"
@@ -81,6 +84,11 @@ class GameConfig:
                 raise ConfigError(f"deck size must be an int, got {self.deck_size!r}")
             if self.deck_size < 2:
                 raise ConfigError(f"discrete deck needs at least 2 cards, got {self.deck_size}")
+            # simulate deals a card as floor(u * M) of a 53-bit uniform u, and
+            # card i has the float value i/(M-1): past 2**53 cards some cards
+            # could never be dealt, and two cards could share a value.
+            if self.deck_size > 2**53:
+                raise ConfigError(f"a deck holds at most 2**53 cards, got {self.deck_size}")
 
     @property
     def is_continuous(self) -> bool:

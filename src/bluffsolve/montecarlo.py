@@ -32,7 +32,8 @@ The brute-force oracle gives the exact value of a discrete deck: the payoff
 of every card pair and bet combination in rational arithmetic, conditioned
 on the hand settling: E = E[payoff on settled deals] / (1 - P(replay)). It
 runs ``analytic``'s payoff kernel over the card count of each piece of the
-two strategies, so its cost grows with the pieces, not with the deck.
+two strategies, so its cost grows with the pieces, not with the deck, up to
+the 2**53 cards ``GameConfig`` allows.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import _payoff_terms, _unit_exponent
-from .engine import MAX_CONSECUTIVE_REPLAYS, ConfigError, GameConfig
+from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
@@ -59,13 +60,6 @@ _BLOCK = 1 << 16
 #: so a card value's cell is exact, and 32 KB a seat whatever the strategy.
 #: A deck of at most this many cards has a table entry per card instead.
 _CELLS = 1 << 12
-
-#: Largest deck ``simulate`` deals from: a card is ``floor(u * M)`` of a 53-bit
-#: uniform u, so most cards of a larger deck could never be dealt.
-MAX_SIMULATED_DECK = 1 << 53
-
-#: Largest deck the exact oracle will enumerate.
-MAX_ENUMERATED_DECK = 10_000
 
 
 @dataclass(frozen=True)
@@ -219,18 +213,12 @@ def simulate(
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MCEstimate:
-    """Estimate player 1's expected payoff from ``hands`` settled hands.
-
-    Raises ``ConfigError`` for a deck of more than ``MAX_SIMULATED_DECK`` cards.
-    """
+    """Estimate player 1's expected payoff from ``hands`` settled hands."""
     if hands < 1:
         raise ValueError(f"need at least one hand, got {hands}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
     deck = cfg.deck_size
-    if deck is not None and deck > MAX_SIMULATED_DECK:
-        limit = MAX_SIMULATED_DECK.bit_length() - 1
-        raise ConfigError(f"a simulated deck holds at most 2**{limit} cards, got {deck}")
     seats = (_seat_tables(s1, deck), _seat_tables(s2, deck))
     chunks = -(-hands // chunk_size)
     workers = min(chunks, _available_cores())
@@ -281,14 +269,11 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     different cards cancel in the card comparison and only a card against
     itself replays: the payoff kernel of ``analytic`` over the exact card
     count of each piece gives the sum over all M^2 equally likely card
-    pairs, in rational arithmetic and in O(pieces). Raises ``ConfigError``
-    for a deck of more than ``MAX_ENUMERATED_DECK`` cards.
+    pairs, in rational arithmetic and in O(pieces).
     """
     m = cfg.deck_size
     if m is None:
         raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
-    if m > MAX_ENUMERATED_DECK:
-        raise ConfigError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
     grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
     # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
     below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]

@@ -58,13 +58,14 @@ import numpy as np
 from .analytic import (
     _ev_arrays,
     _payoff_terms,
+    _require_continuous,
     _unit_exponent,
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
 )
 from .engine import GameConfig
-from .strategy import Strategy, merge_breakpoints, probabilities_on
+from .strategy import Strategy, merge_breakpoints
 
 #: A 0/1 action rule as arrays: breakpoints, and the High value per piece.
 _Rule = tuple[np.ndarray, np.ndarray]
@@ -150,14 +151,16 @@ class _Response(NamedTuple):
     """A binned best response with the arrays the next solver step reuses.
 
     ``gap`` is ev_high - ev_low at the bin edges against the curve, taken at
-    the bets over 2**k, ``grid`` the rule's cuts merged with the interior
-    edges, and ``curve`` the rule's High value per piece of ``grid``.
+    the bets over 2**k. ``knots`` are the rule's cuts merged with the bin
+    edges, ``lengths`` their differences, and ``curve`` the rule's High value
+    per piece between them.
     """
 
     rule: _Rule
     value: float
     gap: np.ndarray
-    grid: np.ndarray
+    knots: np.ndarray
+    lengths: np.ndarray
     curve: np.ndarray
 
 
@@ -168,32 +171,32 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     the same grids, so rule and value equal that call's exactly.
     """
     k = _unit_exponent(a, b)
-    ev_high, ev_low = _ev_arrays(math.ldexp(a, -k), math.ldexp(b, -k), edges, h)
+    ev_high, ev_low = _ev_arrays(math.ldexp(a, -k), math.ldexp(b, -k), edges[1:] - edges[:-1], h)
     gap = ev_high - ev_low
     breakpoints, high = _action_rule(edges, gap)
     interior = edges[1:-1]
-    grid = merge_breakpoints(breakpoints, interior)
-    curve = probabilities_on(breakpoints, high, grid)
-    knots = np.concatenate(([0.0], grid, [1.0]))
-    payoff = _payoff_terms(
-        a, b, knots[1:] - knots[:-1], curve, probabilities_on(interior, h, grid)
-    )
-    return _Response((breakpoints, high), payoff.value, gap, grid, curve)
+    knots = np.concatenate(([0.0], merge_breakpoints(breakpoints, interior), [1.0]))
+    # Each curve plays on a piece what a right-sided search finds at the
+    # piece's start, as in probabilities_on.
+    starts = knots[:-1]
+    curve = high[breakpoints.searchsorted(starts, side="right")]
+    lengths = knots[1:] - starts
+    payoff = _payoff_terms(a, b, lengths, curve, h[interior.searchsorted(starts, side="right")])
+    return _Response((breakpoints, high), payoff.value, gap, knots, lengths, curve)
 
 
 def _bin_gaps(
-    a: float, b: float, edges: np.ndarray, grid: np.ndarray, h: np.ndarray
+    a: float, b: float, edges: np.ndarray, knots: np.ndarray, lengths: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """Per-bin integral of ev_high - ev_low against the curve ``h`` on ``grid``.
+    """Per-bin integral of ev_high - ev_low against the curve ``h`` on ``knots``.
 
-    ``grid`` holds the interior bin edges and possibly more breakpoints; ``h``
-    gives the opponent's High probability per piece of it. Both EVs are
-    linear on every piece, so the trapezoid rule is exact.
+    ``knots`` hold the bin edges and possibly more breakpoints, ``lengths``
+    their differences; ``h`` gives the opponent's High probability per piece.
+    Both EVs are linear on every piece, so the trapezoid rule is exact.
     """
-    knots = np.concatenate(([0.0], grid, [1.0]))
-    ev_high, ev_low = _ev_arrays(a, b, knots, h)
+    ev_high, ev_low = _ev_arrays(a, b, lengths, h)
     gap = ev_high - ev_low
-    pieces = (knots[1:] - knots[:-1]) * (gap[:-1] + gap[1:]) / 2.0
+    pieces = lengths * (gap[:-1] + gap[1:]) / 2.0
     return np.add.reduceat(pieces, knots.searchsorted(edges[:-1]))
 
 
@@ -214,8 +217,7 @@ def fictitious_play(
     ``converged=False``, never raised. The search is deterministic. The name
     is kept from the fictitious-play solver it replaced.
     """
-    if not cfg.is_continuous:
-        raise ValueError("fictitious play runs on the continuous card model")
+    _require_continuous(cfg)
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if not 0 < epsilon < math.inf:
@@ -269,7 +271,9 @@ def fictitious_play(
         # (b) Polyak step on e, whose minimum is at least the game value 0;
         # the gradient of y's response payoff is a subgradient of e at y. It
         # runs on the merged grid and rule curve of y's certificate.
-        g = -_bin_gaps(a_unit, b_unit, edges, y_response.grid, y_response.curve)
+        g = -_bin_gaps(
+            a_unit, b_unit, edges, y_response.knots, y_response.lengths, y_response.curve
+        )
         norm = float(g @ g)
         if norm > 0.0:
             y = (y - (math.ldexp(y_response.value, -k) / norm) * g).clip(0.0, 1.0)

@@ -24,12 +24,7 @@ from scipy import integrate
 
 from bluffsolve.analytic import ConditionalEV
 from bluffsolve.engine import MAX_CONSECUTIVE_REPLAYS, BetAction, Card, GameConfig, settle
-from bluffsolve.montecarlo import (
-    DEFAULT_CHUNK_SIZE,
-    MAX_ENUMERATED_DECK,
-    ExactDiscreteValue,
-    MCEstimate,
-)
+from bluffsolve.montecarlo import DEFAULT_CHUNK_SIZE, ExactDiscreteValue, MCEstimate
 from bluffsolve.strategy import Strategy
 
 
@@ -316,8 +311,6 @@ def brute_force_reference(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactD
     m = cfg.deck_size
     if m is None:
         raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
-    if m > MAX_ENUMERATED_DECK:
-        raise ValueError(f"deck of {m} cards exceeds the enumeration limit {MAX_ENUMERATED_DECK}")
     a, b = cfg.high_bet, cfg.low_bet
     grid = [Fraction(i, m - 1) for i in range(m)]
     p1 = _exact_piece_values(s1, grid)

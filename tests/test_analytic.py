@@ -254,6 +254,16 @@ class TestEquilibrium:
         assert point.t_star == pytest.approx(t, abs=1e-12)
         assert point.p_star == pytest.approx(p, abs=1e-12)
 
+    def test_correctly_rounded(self):
+        # Each coordinate is the float nearest to its exact rational value.
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            b = float(rng.uniform(0.1, 10.0))
+            cfg = GameConfig(b * float(rng.uniform(1.01, 100.0)), b)
+            a, b = cfg.high_bet, cfg.low_bet
+            point = closed_form_equilibrium(cfg)
+            assert (point.t_star, point.p_star) == (float(1 - b / a), float(b / (a + b)))
+
     def test_equilibrium_strategy_is_indifference_fixed_point(self):
         for a in (2, 3, 1.5):
             cfg = GameConfig(a, 1)

@@ -342,7 +342,7 @@ def test_bad_solver_arguments_are_usage_errors(capsys, argv):
         ["simulate", "--s1", "a-type", "--s2", "b-type", "--chunk-size", "0", "--schedule", "10"],
         ["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
         ["simulate", "--deck", str(10**400), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
-        ["brute-force", "--deck", "20000", "--s1", "a-type", "--s2", "a-type"],
+        ["brute-force", "--deck", str(2**53 + 1), "--s1", "a-type", "--s2", "a-type"],
     ],
 )
 def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
@@ -355,24 +355,52 @@ def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
         (
             str(10**20),
             "simulate",
-            "error: --deck: a simulated deck holds at most 2**53 cards, got 100000000000000000000\n",
+            "error: --deck: a deck holds at most 2**53 cards, got 100000000000000000000\n",
         ),
         (
             "1_000_000_000_000_000_000",
             "simulate",
-            "error: --deck: a simulated deck holds at most 2**53 cards, got 1000000000000000000\n",
+            "error: --deck: a deck holds at most 2**53 cards, got 1000000000000000000\n",
         ),
         (
-            "20000",
+            "9007199254740993",
+            "simulate",
+            "error: --deck: a deck holds at most 2**53 cards, got 9007199254740993\n",
+        ),
+        (
+            "9007199254740993",
             "brute-force",
-            "error: --deck: deck of 20000 cards exceeds the enumeration limit 10000\n",
+            "error: --deck: a deck holds at most 2**53 cards, got 9007199254740993\n",
         ),
     ],
-    ids=["simulate", "simulate-underscores", "brute-force"],
+    ids=["simulate", "simulate-underscores", "simulate-one-over", "brute-force"],
 )
 def test_deck_limit_messages(capsys, deck, command, stderr):
+    # GameConfig checks the deck, with the same message for every command.
     argv = [command, "--deck", deck, "--s1", "a-type", "--s2", "b-type"]
     assert run(capsys, *argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "s1, stdout",
+    [
+        (
+            "a-type",
+            '{"value":"1","value_float":1.0,"replay_probability":"0",'
+            '"replay_probability_float":0.0}\n',
+        ),
+        (
+            "m-det:0.5",
+            '{"value":"4503599627370496/18014398509481983","value_float":0.25,'
+            '"replay_probability":"1/18014398509481984",'
+            '"replay_probability_float":5.551115123125783e-17}\n',
+        ),
+    ],
+)
+def test_brute_force_takes_the_largest_deck(capsys, s1, stdout):
+    # The exact value costs O(pieces), so no deck GameConfig accepts is too large.
+    argv = ["brute-force", "--deck", str(2**53), "--s1", s1, "--s2", "b-type"]
+    assert run(capsys, *argv) == (0, stdout, "")
 
 
 @pytest.mark.parametrize(

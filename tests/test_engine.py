@@ -51,7 +51,10 @@ class TestConfig:
     def test_ratio_beyond_the_largest_float_rejected(self):
         largest = sys.float_info.max
         assert GameConfig(largest, 1).ratio == largest
-        for high, low in ((2, 1e-308), (1e308, 0.5), (largest, 0.5)):
+        # The last pair's ratio is 10, but no payoff at its bets is a float.
+        for high, low in (
+            (2, 1e-308), (1e308, 0.5), (largest, 0.5), (Fraction(10**400), Fraction(10**399))
+        ):
             with pytest.raises(ConfigError, match="largest float"):
                 GameConfig(high, low)
 

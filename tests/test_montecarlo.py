@@ -85,9 +85,8 @@ class TestSimulate:
             simulate(CFG, SIGMA, SIGMA, hands=0, seed=0)
         with pytest.raises(ValueError):
             simulate(CFG, SIGMA, SIGMA, hands=10, seed=0, chunk_size=0)
-        huge = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK + 1)
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            simulate(huge, SIGMA, SIGMA, hands=10, seed=0)
+            simulate(GameConfig(2, 1, deck_size=2**53 + 1), SIGMA, SIGMA, hands=10, seed=0)
 
     @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
     def test_scales_with_the_bets(self, k):
@@ -211,7 +210,7 @@ class TestCountedKernel:
         assert np.array_equal(montecarlo._high_probability(x, seat, None), expected)
 
         # A deck of more cards than cells: cards at and next to every breakpoint.
-        for deck in (5001, montecarlo.MAX_SIMULATED_DECK):
+        for deck in (5001, 2**53):
             seat = montecarlo._seat_tables(s, deck)
             near = np.floor(bp * (deck - 1)).astype(np.int64)
             cards = np.concatenate([[0, deck - 1], *(near + k for k in (-1, 0, 1, 2))])
@@ -291,21 +290,23 @@ class TestBruteForceDiscrete:
         with pytest.raises(ValueError):
             brute_force_discrete(CFG, SIGMA, SIGMA)
         with pytest.raises(ValueError):
-            brute_force_discrete(GameConfig(2, 1, deck_size=20_000), SIGMA, SIGMA)
+            brute_force_discrete(GameConfig(2, 1, deck_size=2**53 + 1), SIGMA, SIGMA)
 
 
 def test_deck_limits_are_config_errors():
-    # The limit on a deck lives in the function that deals or enumerates it.
-    largest = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK)
+    # GameConfig holds the one deck limit, and both functions take every
+    # deck it accepts.
+    m = 2**53
+    largest = GameConfig(2, 1, deck_size=m)
     assert simulate(largest, a_type(), b_type(), hands=1, seed=0).mean == 1.0
-    over = GameConfig(2, 1, deck_size=montecarlo.MAX_SIMULATED_DECK + 1)
-    with pytest.raises(ConfigError, match="2\\*\\*53"):
-        simulate(over, a_type(), b_type(), hands=1, seed=0)
-    largest = GameConfig(2, 1, deck_size=montecarlo.MAX_ENUMERATED_DECK)
     assert brute_force_discrete(largest, a_type(), b_type()).value == 1
-    over = GameConfig(2, 1, deck_size=montecarlo.MAX_ENUMERATED_DECK + 1)
-    with pytest.raises(ConfigError, match="enumeration limit"):
-        brute_force_discrete(over, a_type(), b_type())
+    # Against always-Low, the M/2 high cards win b on every deal, the M/2 low
+    # cards lose M^2/4 deals net, and a low card against itself replays.
+    exact = brute_force_discrete(largest, m_deterministic(0.5), b_type())
+    assert exact.value == Fraction(m, 2 * (2 * m - 1))
+    assert exact.replay_probability == Fraction(1, 2 * m)
+    with pytest.raises(ConfigError, match="2\\*\\*53"):
+        GameConfig(2, 1, deck_size=m + 1)
 
 
 class TestConvergenceReport:

@@ -108,7 +108,7 @@ class TestBinnedResponse:
         # exactly at some knots, where the tie rule decides the action.
         edges = np.linspace(0.0, 1.0, bins + 1)
         h = np.where(edges[:-1] < 0.5, 1 / 3, 1.0)
-        ev_high, ev_low = _ev_arrays(2.0, 1.0, edges, h)
+        ev_high, ev_low = _ev_arrays(2.0, 1.0, np.diff(edges), h)
         assert np.any(ev_high == ev_low)
         self.assert_matches_public(CFG, h)
 
@@ -116,7 +116,7 @@ class TestBinnedResponse:
     def test_reused_arrays_equal_the_bin_integrals(self, bins):
         # The solver's next step reads these arrays, so they must equal the
         # bin integrals of _bin_gaps, at the same bets over 2**k, and the
-        # merged grid, bit for bit.
+        # merged knots and their lengths, bit for bit.
         rng = np.random.default_rng(bins)
         edges = np.linspace(0.0, 1.0, bins + 1)
         for ratio in (1.5, 2.0, 3.0):
@@ -126,9 +126,11 @@ class TestBinnedResponse:
             integrals = np.diff(edges) * (gap[:-1] + gap[1:]) / 2.0
             k = _unit_exponent(ratio, 1.0)
             a, b = math.ldexp(ratio, -k), math.ldexp(1.0, -k)
-            assert np.array_equal(integrals, solver._bin_gaps(a, b, edges, edges[1:-1], h))
+            bin_gaps = solver._bin_gaps(a, b, edges, edges, np.diff(edges), h)
+            assert np.array_equal(integrals, bin_gaps)
             grid = merge_breakpoints(response.rule[0], edges[1:-1])
-            assert np.array_equal(response.grid, grid)
+            assert np.array_equal(response.knots, np.concatenate(([0.0], grid, [1.0])))
+            assert np.array_equal(response.lengths, np.diff(response.knots))
             assert np.array_equal(response.curve, probabilities_on(*response.rule, grid))
 
 
