@@ -13,8 +13,6 @@ from .analytic import (
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
-    indifference_bluff,
-    indifference_threshold,
     taxonomy_table,
 )
 from .engine import (
@@ -78,8 +76,6 @@ __all__ = [
     "expected_payoff",
     "exploitability",
     "fictitious_play",
-    "indifference_bluff",
-    "indifference_threshold",
     "m_deterministic",
     "ratio_sweep",
     "refine",

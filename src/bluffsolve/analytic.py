@@ -76,7 +76,9 @@ class EquilibriumPoint:
 # array methods and slice differences instead of np.sum, np.cumsum and
 # np.diff: on the solver's 200-element arrays, numpy's Python-level wrappers
 # cost more than the arithmetic. Each does the same operations in the same
-# order, so every bit of every result is the same.
+# order, so every bit of every result is the same. No float product goes
+# through np.dot or @: those call BLAS, whose kernel, and so whose summation
+# order, OpenBLAS picks from the CPU at run time.
 
 
 def _common_grid(s1: Strategy, s2: Strategy):
@@ -94,7 +96,7 @@ def _sign_weighted_sum(x: np.ndarray, y: np.ndarray, y_total):
     below[1:] = below[:-1]
     below[0] = 0
     above = y_total - below - y
-    return np.dot(x, below - above)
+    return np.add.reduce(x * (below - above))
 
 
 def _payoff_terms(
@@ -170,36 +172,6 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
         ev_high=PiecewiseLinear(knots_t, tuple(ev_high.tolist())),
         ev_low=PiecewiseLinear(knots_t, tuple(ev_low.tolist())),
     )
-
-
-def indifference_threshold(p: float, ratio: float) -> float:
-    """Threshold making the marginal card indifferent, given bluff rate ``p``.
-
-    Solves (ratio-1)(1-t) = (ratio+1) t p, the equality of the extra loss from
-    betting High with the marginal card against stronger opponents and the
-    extra gain against weaker opponents who bet High with probability p. At
-    ratio 2 this is exactly 1/t = 1 + 3p.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"bluff probability must lie in [0, 1], got {p!r}")
-    if ratio <= 1.0:
-        raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
-    t = (ratio - 1.0) / ((ratio - 1.0) + (ratio + 1.0) * p)
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"no threshold in (0, 1] for p={p!r}, ratio={ratio!r}")
-    return t
-
-
-def indifference_bluff(ratio: float) -> float:
-    """Below-threshold High probability making weak cards indifferent.
-
-    Betting High with a weak card costs an extra 2a p x against slightly
-    stronger bluffing opponents while betting Low costs 2b (1-p) x; equality
-    gives ratio * p = 1 - p, i.e. p = 1/(ratio+1) = b/(a+b).
-    """
-    if ratio <= 1.0:
-        raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
-    return 1.0 / (ratio + 1.0)
 
 
 def closed_form_equilibrium(cfg: GameConfig) -> EquilibriumPoint:

@@ -9,13 +9,18 @@ draw, bet draw).
 A chunk returns integer counts of its outcome classes (wins and losses at a
 and at b, and replays), which add exactly in any order, so an estimate is
 bit-identical for a fixed (seed, chunk_size) whatever the scheduling or the
-core count. With integer bets it also equals, bit for bit, that of earlier
-versions, which summed a float payoff per hand; with non-integer bets the
-mean and standard error can differ from those in the last bits, because the
-sums are now rounded once per outcome class instead of pairwise per hand.
-A worker holds one block of ``_BLOCK`` deals at a time, so memory grows with
-the number of workers, not with the number of hands. The moments are taken
-at the bets over 2**``analytic._unit_exponent`` of the paid bets, scaled back.
+core count. The mean and the variance come from the counts in Fractions of
+the exact bets, and each is rounded once; the square root is taken at the
+variance over an even power of two, so no moment over- or underflows at any
+bet scale, and a payoff that never varies has a standard error of exactly 0.
+With integer bets the mean equals, bit for bit, that of earlier versions,
+which summed a float payoff per hand; with non-integer bets it can differ in
+the last bits, and the standard error can differ in the last bits at any bets.
+
+A worker draws ``_BLOCK`` = 2**14 deals at a time into one buffer that its
+chunk reuses: 512 KB of uniforms, which with the tally's temporaries fits in
+a core's L2 cache. One worker's peak is about 1 MB whatever the hands, so
+memory grows with the number of workers, not with the number of hands.
 
 Each seat looks up every deal's High probability in one read-only table that
 all workers share, 8 bytes an entry. A deck of at most ``_CELLS`` cards has
@@ -46,15 +51,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _payoff_terms, _unit_exponent
+from .analytic import _payoff_terms
 from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
 
-#: Deals drawn and tallied at once: 2 MB of uniforms, so a worker's arrays
-#: stay small whatever the chunk size.
-_BLOCK = 1 << 16
+#: Deals drawn and tallied at once: 512 KB of uniforms in one buffer that a
+#: chunk reuses, so a block and its tally temporaries fit in a core's L2
+#: cache (1-2 MB on current x86 cores), whatever the chunk size.
+_BLOCK = 1 << 14
 
 #: Cells of a High-probability table over the card value: a power of two,
 #: so a card value's cell is exact, and 32 KB a seat whatever the strategy.
@@ -123,7 +129,8 @@ def _seat_tables(s: Strategy, deck: int | None) -> tuple:
 def _cards(u: np.ndarray, deck: int | None) -> np.ndarray:
     if deck is None:
         return u
-    cards = (u * deck).astype(np.int64)
+    # floor(u * deck) in one pass: the cast to an integer truncates.
+    cards = np.multiply(u, deck, out=np.empty(len(u), np.int64), casting="unsafe")
     return np.minimum(cards, deck - 1, out=cards)
 
 
@@ -178,9 +185,11 @@ def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple)
 
     Each round deals again the hands the round before replayed; which hands
     they were does not matter, only how many. A round draws its uniforms
-    ``_BLOCK`` deals at a time, which continues the one Philox sequence.
+    ``_BLOCK`` deals at a time into one reused buffer, which continues the one
+    Philox sequence exactly as ``rng.random((m, 4))`` would.
     """
     rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(index))
+    buffer = np.empty((min(n, _BLOCK), 4))
     counts = np.zeros(5, dtype=np.int64)
     pending = n
     rounds = 0
@@ -190,12 +199,21 @@ def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple)
             raise RuntimeError(f"hands failed to settle within {MAX_CONSECUTIVE_REPLAYS} replays")
         replayed = 0
         for start in range(0, pending, _BLOCK):
-            u = rng.random((min(_BLOCK, pending - start), 4))
+            u = rng.random(out=buffer[: min(_BLOCK, pending - start)])
             block = _tally(u, deck, seats)
             counts += block
             replayed += int(block[4])
         pending = replayed
     return counts
+
+
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) of an exact ``x >= 0``, taken at x / 4**j near 1 and scaled by 2**j.
+
+    No float on the way over- or underflows, whatever the size of x.
+    """
+    j = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(float(x / Fraction(4) ** j)), j)
 
 
 def _available_cores() -> int:
@@ -240,20 +258,18 @@ def simulate(
             counts = sum(pool.map(stripe, range(workers)))
     wins_a, losses_a, wins_b, losses_b, replays = (int(c) for c in counts)
 
-    b = float(cfg.low_bet)
-    a = float(cfg.high_bet) if wins_a + losses_a else b  # no hand paid a: b sets k
-    k = _unit_exponent(a, b)
-    a, b = math.ldexp(a, -k), math.ldexp(b, -k)
-    mean = ((wins_a - losses_a) * a + (wins_b - losses_b) * b) / hands
+    # The moments in Fractions of the exact bets, each rounded once.
+    a, b = cfg.high_bet, cfg.low_bet
+    total = (wins_a - losses_a) * a + (wins_b - losses_b) * b
     if hands > 1:
-        total_sq = (wins_a + losses_a) * (a * a) + (wins_b + losses_b) * (b * b)
-        variance = max((total_sq - hands * mean * mean) / (hands - 1), 0.0)
-        std_error = math.sqrt(variance / hands)
+        squares = (wins_a + losses_a) * a * a + (wins_b + losses_b) * b * b
+        variance = (squares - total * total / hands) / (hands - 1)
+        std_error = _sqrt(variance / hands)
     else:
         std_error = 0.0
     return MCEstimate(
-        mean=math.ldexp(mean, k),
-        std_error=math.ldexp(std_error, k),
+        mean=float(total / hands),
+        std_error=std_error,
         hands=hands,
         seed=seed,
         replay_rate=replays / (hands + replays),

@@ -274,7 +274,7 @@ def fictitious_play(
         g = -_bin_gaps(
             a_unit, b_unit, edges, y_response.knots, y_response.lengths, y_response.curve
         )
-        norm = float(g @ g)
+        norm = float(np.add.reduce(g * g))
         if norm > 0.0:
             y = (y - (math.ldexp(y_response.value, -k) / norm) * g).clip(0.0, 1.0)
         y_response = certify(y)

@@ -10,7 +10,9 @@ code they check: ``simulate_reference``, the Monte Carlo simulator that fills
 a payoff array per chunk and sums it, run one chunk after another;
 ``brute_force_reference``, the exact discrete-deck value summed card by card
 with prefix sums in rational arithmetic; and ``response_value``, a strategy's
-payoff integrated against the opponent's conditional EVs.
+payoff integrated against the opponent's conditional EVs. The indifference
+conditions ``indifference_threshold`` and ``indifference_bluff`` derive the
+equilibrium (t*, p*) independently of its closed form.
 """
 
 from __future__ import annotations
@@ -100,6 +102,36 @@ def response_value(s: Strategy, evs: ConditionalEV) -> float:
     avg_high = (high[:-1] + high[1:]) / 2.0
     avg_low = (low[:-1] + low[1:]) / 2.0
     return float(np.sum(lengths * (h * avg_high + (1.0 - h) * avg_low)))
+
+
+def indifference_threshold(p: float, ratio: float) -> float:
+    """Threshold making the marginal card indifferent, given bluff rate ``p``.
+
+    Solves (ratio-1)(1-t) = (ratio+1) t p, the equality of the extra loss from
+    betting High with the marginal card against stronger opponents and the
+    extra gain against weaker opponents who bet High with probability p. At
+    ratio 2 this is exactly 1/t = 1 + 3p.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bluff probability must lie in [0, 1], got {p!r}")
+    if ratio <= 1.0:
+        raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
+    t = (ratio - 1.0) / ((ratio - 1.0) + (ratio + 1.0) * p)
+    if not 0.0 < t <= 1.0:
+        raise ValueError(f"no threshold in (0, 1] for p={p!r}, ratio={ratio!r}")
+    return t
+
+
+def indifference_bluff(ratio: float) -> float:
+    """Below-threshold High probability making weak cards indifferent.
+
+    Betting High with a weak card costs an extra 2a p x against slightly
+    stronger bluffing opponents while betting Low costs 2b (1-p) x; equality
+    gives ratio * p = 1 - p, i.e. p = 1/(ratio+1) = b/(a+b).
+    """
+    if ratio <= 1.0:
+        raise ValueError(f"bet ratio must exceed 1, got {ratio!r}")
+    return 1.0 / (ratio + 1.0)
 
 
 def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
@@ -197,15 +229,16 @@ def simulate_reference(
     """``montecarlo.simulate`` with a payoff per hand, summed chunk by chunk.
 
     Draws the same Philox stream: chunk k uses ``Philox(seed).jumped(k)`` and
-    each round draws four uniforms for every hand still pending.
+    each round draws four uniforms for every hand still pending. The sums
+    and moments are exact rationals of the float payoffs, rounded once.
     """
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     bp1, pr1 = np.asarray(s1.breakpoints), np.asarray(s1.high_prob)
     bp2, pr2 = np.asarray(s2.breakpoints), np.asarray(s2.high_prob)
     deck = cfg.deck_size
 
-    total = 0.0
-    total_sq = 0.0
+    total = Fraction(0)
+    total_sq = Fraction(0)
     replays = 0
     done = 0
     chunk_index = 0
@@ -243,19 +276,23 @@ def simulate_reference(
             payoff[pending[settled]] = pay[settled]
             replays += int(replay.sum())
             pending = pending[replay]
-        total += float(payoff.sum())
-        total_sq += float((payoff * payoff).sum())
+        # Exact sums: each distinct payoff value times the hands that paid it.
+        for value, count in zip(*np.unique(payoff, return_counts=True)):
+            total += Fraction(value) * int(count)
+            total_sq += Fraction(value) ** 2 * int(count)
         done += n
         chunk_index += 1
 
-    mean = total / hands
+    # The moments exactly, rounded once; the square root is taken at the
+    # variance of the mean over 4**j, a float near 1, and scaled by 2**j.
     if hands > 1:
-        variance = max((total_sq - hands * mean * mean) / (hands - 1), 0.0)
-        std_error = math.sqrt(variance / hands)
+        variance = (total_sq - total * total / hands) / (hands - 1) / hands
+        j = (variance.numerator.bit_length() - variance.denominator.bit_length()) // 2
+        std_error = math.ldexp(math.sqrt(float(variance / Fraction(4) ** j)), j)
     else:
         std_error = 0.0
     return MCEstimate(
-        mean=mean,
+        mean=float(total / hands),
         std_error=std_error,
         hands=hands,
         seed=seed,

@@ -1,6 +1,7 @@
 """Closed-form payoff engine vs independent oracles, indifference solver,
 equilibrium, and the strategy-type payoff table."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,14 @@ from bluffsolve.analytic import (
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
-    indifference_bluff,
-    indifference_threshold,
     taxonomy_table,
 )
 from bluffsolve.engine import GameConfig
 from bluffsolve.strategy import Strategy, a_type, b_type, m_deterministic, refine, threshold_mix
 
 from .oracles import (
+    indifference_bluff,
+    indifference_threshold,
     payoff_terms_double_sum,
     quad_ev_high,
     quad_ev_low,
@@ -263,6 +264,16 @@ class TestEquilibrium:
             a, b = cfg.high_bet, cfg.low_bet
             point = closed_form_equilibrium(cfg)
             assert (point.t_star, point.p_star) == (float(1 - b / a), float(b / (a + b)))
+
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0, 10.0])
+    def test_closed_form_is_the_indifference_fixed_point(self, ratio):
+        # The indifference conditions give (t*, p*) by another route; they
+        # round at each step, so they agree to a few ulps.
+        point = closed_form_equilibrium(GameConfig(ratio, 1))
+        p = indifference_bluff(ratio)
+        t = indifference_threshold(p, ratio)
+        assert abs(p - point.p_star) <= 4 * math.ulp(point.p_star)
+        assert abs(t - point.t_star) <= 4 * math.ulp(point.t_star)
 
     def test_equilibrium_strategy_is_indifference_fixed_point(self):
         for a in (2, 3, 1.5):

@@ -70,12 +70,12 @@ EXACT_OUTPUTS = [
     (
         [*SIM, "--schedule", "10,100"],
         "hands,mean,std_err,replay_rate,seed\n10,0.5,0.5,0,3\n"
-        "100,-0.070000000000000007,0.14372743564669813,0,4\n",
+        "100,-0.070000000000000007,0.14372743564669815,0,4\n",
     ),
     (
         [*SIM, "--schedule", "10,100", "--format", "json"],
         '[{"mean":0.5,"std_error":0.5,"hands":10,"seed":3,"replay_rate":0.0,"chunk_size":262144},'
-        '{"mean":-0.07,"std_error":0.14372743564669813,"hands":100,"seed":4,"replay_rate":0.0,'
+        '{"mean":-0.07,"std_error":0.14372743564669815,"hands":100,"seed":4,"replay_rate":0.0,'
         '"chunk_size":262144}]\n',
     ),
     (
@@ -541,6 +541,26 @@ class TestSimulateCommand:
             "--seed", "7",
         )
         assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "argv, mean, std_error",
+        [
+            # Every hand pays exactly 3.7, so the exact variance is 0.
+            (["--a", "5", "--b", "3.7", "--s1", "a-type", "--s2", "b-type",
+              "--hands", "100", "--seed", "2"], 3.7, 0.0),
+            # The mean is exactly 3/7, which a float sum of the payoffs, at
+            # the bets or at the bets over 2**k, misses in the last bits.
+            (["--a", "1.7e308", "--b", "3", "--s1", "threshold:0.5:0.5",
+              "--s2", "threshold:0.5:0.5", "--hands", "7", "--seed", "8"], 3 / 7, None),
+        ],
+        ids=["constant", "huge-a"],
+    )
+    def test_exact_moments(self, capsys, argv, mean, std_error):
+        code, out, _ = run(capsys, "simulate", *argv)
+        data = json.loads(out)
+        assert (code, data["mean"]) == (0, mean)
+        if std_error is not None:
+            assert data["std_error"] == std_error
 
     def test_discrete_deck(self, capsys):
         code, out, _ = run(

@@ -167,14 +167,24 @@ class TestCountedKernel:
         [(a_type(), threshold_mix(0.5, 0.3)), (m_deterministic(0.3), m_deterministic(0.6))],
     )
     def test_non_integer_bets(self, s1, s2):
-        # With a = 1.7 the reference's pairwise sums round differently from
-        # one product per outcome class. The bound is relative to the mean,
-        # so the pairs have means far from zero (0.06 and 0.49).
+        # With a = 1.7 a float sum of the payoffs would round at every hand;
+        # both take the moments exactly and round them once.
         cfg = GameConfig(1.7, 1)
         est = simulate(cfg, s1, s2, hands=100_000, seed=5, chunk_size=1234)
         ref = simulate_reference(cfg, s1, s2, hands=100_000, seed=5, chunk_size=1234)
-        assert abs(est.mean - ref.mean) <= 1e-15 * abs(ref.mean)
-        assert est.replay_rate == ref.replay_rate
+        assert est == ref
+
+    @pytest.mark.parametrize("chunk_size", [1234, DEFAULT_CHUNK_SIZE])
+    @pytest.mark.parametrize("deck", [None, 1001, 2])
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, deck, chunk_size):
+        # 1000 deals a block is neither a power of two nor a divisor of a
+        # chunk. At M=2 about half the deals replay, so the replay rounds
+        # refill a partly used buffer.
+        args = (GameConfig(2, 1, deck_size=deck), SIGMA, m_deterministic(0.3))
+        kwargs = dict(hands=chunk_size + 70_001, seed=13, chunk_size=chunk_size)
+        default = simulate(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+        assert simulate(*args, **kwargs) == default
 
     def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
         # More workers than cores, switching threads as often as they can,

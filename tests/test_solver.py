@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,28 +272,28 @@ class TestFictitiousPlay:
     @pytest.mark.parametrize(
         ("ratio", "iterations", "value", "strategy_sha", "trace_sha"),
         [
-            pytest.param(*run, id="-".join(map(str, run[:3])))
+            pytest.param(*run, id=str(run[0]))
             for run in [
                 (
                     1.5,
                     67,
-                    "0.0009897607807276276",
+                    "0.000989760780727586",
                     "de7b3cfdd5e26510f944319cb32cfa4f42df5cb1097bb63158d8be7ae4b2defe",
-                    "8a7c1f841cf2ab508601d337cf7870984956cbf0aad5d3d388da68d08a0486ea",
+                    "84d3f8d069f84c4f28c9001b22ab5d29e3f9a578cc4ed63222cd5e4a8da281fd",
                 ),
                 (
                     2.0,
                     99,
-                    "0.0008088364235303096",
+                    "0.0008088364235303109",
                     "9c3d1ca492dc3a5dead656ec2d2cc3f62a0ec1318f7d28e1e6bc45d062551151",
-                    "944aa7d609b20aba233d42b95e355c4c81b43bdce65c6c6c8c83b2175556aea3",
+                    "a1b878493609c9e358d614cb2d0cfc6ad799a7747740dd4652a929eed22d7781",
                 ),
                 (
                     3.0,
-                    351,
-                    "0.0009899362263166272",
-                    "f844365fa72511434e5066854f4c68aa4ce93d8823e2cbede5f6626952a306d2",
-                    "7f3a4669217a782649dab65031c686a9a096908ea5417dabe952f2dd246e29e7",
+                    348,
+                    "0.0009955839242625705",
+                    "63d671d899757473f4dfe5af3126cdfad71eb22738c73fbe894e728d6291e560",
+                    "d8431fc1086cf9c5249282c7e16285e5ee17b117c078b6c4ecb03f9d47600868",
                 ),
             ]
         ],
@@ -302,6 +306,32 @@ class TestFictitiousPlay:
         assert (result.iterations, repr(result.exploitability)) == (iterations, value)
         digests = (sha256(repr(result.strategy)), sha256(repr(result.trace)))
         assert digests == (strategy_sha, trace_sha)
+
+    def test_same_bits_on_every_blas_kernel(self):
+        # A DYNAMIC_ARCH OpenBLAS picks its kernel from the CPU, and
+        # OPENBLAS_CORETYPE overrides the pick for one process. Prescott runs
+        # on any x86-64; Haswell is what Zen machines get. A float product
+        # through BLAS sums in a different order on each, and moves the step
+        # count of this run. Where numpy's OpenBLAS is not DYNAMIC_ARCH, or
+        # its BLAS is not OpenBLAS, the variable has no effect and the runs
+        # agree trivially.
+        script = (
+            "from fractions import Fraction\n"
+            "from bluffsolve.engine import GameConfig\n"
+            "from bluffsolve.solver import fictitious_play\n"
+            "r = fictitious_play(GameConfig(Fraction(3), 1), bins=200, epsilon=1e-3)\n"
+            "print(r.iterations, repr(r.exploitability), repr(r.strategy), repr(r.trace))\n"
+        )
+        path = [str(Path(solver.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        digests = []
+        for core in ("Prescott", "Haswell"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(path)}
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append((core, sha256(done.stdout)))
+        assert digests[0][1] == digests[1][1], digests
 
     @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
     def test_scale_equivariant(self, ratio):
