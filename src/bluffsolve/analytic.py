@@ -12,7 +12,6 @@ give the exact value of a discrete deck (``montecarlo.brute_force_discrete``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +122,6 @@ def expected_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> PayoffValue:
     """Exact expected net payoff to player 1 under the continuous card model."""
     _require_continuous(cfg)
     return _payoff_terms(float(cfg.high_bet), float(cfg.low_bet), *_common_grid(s1, s2))
-
-
-def _unit_exponent(a: float, b: float) -> int:
-    """The k that puts a / 2**k in [1/2, 1), lowered until b / 2**k is normal.
-
-    Sums and products of the bets over 2**k stay in range; the scaling is exact.
-    """
-    return min(math.frexp(a)[1], math.frexp(b)[1] + 1021)
 
 
 def _ev_arrays(

@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon",
         type=float,
         default=1e-3,
-        help="stop at the first iterate whose exact exploitability is at most this; an "
-        "absolute payoff, in units of the low bet when b = 1 (default 1e-3)",
+        help="stop at the first iterate whose exact exploitability, in units of the low "
+        "bet b, is at most this (default 1e-3)",
     )
     solving.add_argument(
         "--max-iters",
@@ -315,8 +315,8 @@ def _cmd_solve(args: argparse.Namespace, cfg: GameConfig) -> int:
     _emit(args, _json({k: v for k, v in vars(result).items() if k != "trace"}))
     if not result.converged:
         print(
-            f"warning: not converged (exploitability {result.exploitability:.3g} "
-            f"> epsilon {args.epsilon:.3g})",
+            "warning: not converged (exploitability / b "
+            f"{result.exploitability / float(cfg.low_bet):.3g} > epsilon {args.epsilon:.3g})",
             file=sys.stderr,
         )
         if args.strict:

@@ -13,14 +13,13 @@ core count. The mean and the variance come from the counts in Fractions of
 the exact bets, and each is rounded once; the square root is taken at the
 variance over an even power of two, so no moment over- or underflows at any
 bet scale, and a payoff that never varies has a standard error of exactly 0.
-With integer bets the mean equals, bit for bit, that of earlier versions,
-which summed a float payoff per hand; with non-integer bets it can differ in
-the last bits, and the standard error can differ in the last bits at any bets.
 
-A worker draws ``_BLOCK`` = 2**14 deals at a time into one buffer that its
-chunk reuses: 512 KB of uniforms, which with the tally's temporaries fits in
-a core's L2 cache. One worker's peak is about 1 MB whatever the hands, so
-memory grows with the number of workers, not with the number of hands.
+A chunk draws at most ``_BLOCK`` = 2**14 deals at a time, and never more than
+its hands still unsettled, into one reused buffer: so it reads the shortest
+prefix of its stream that holds its hands, whatever the block size. The
+buffer's 512 KB of uniforms and the tally's temporaries fit in a core's L2
+cache; one worker's peak is about 1 MB, so memory grows with the number of
+workers, not with the number of hands.
 
 Each seat looks up every deal's High probability in one read-only table that
 all workers share, 8 bytes an entry. A deck of at most ``_CELLS`` cards has
@@ -183,27 +182,26 @@ def _tally(u: np.ndarray, deck: int | None, seats: tuple) -> np.ndarray:
 def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple) -> np.ndarray:
     """``_tally`` counts of chunk ``index``: ``n`` settled hands and their replays.
 
-    Each round deals again the hands the round before replayed; which hands
-    they were does not matter, only how many. A round draws its uniforms
-    ``_BLOCK`` deals at a time into one reused buffer, which continues the one
-    Philox sequence exactly as ``rng.random((m, 4))`` would.
+    Each pass draws at most ``_BLOCK`` deals, and never more than the hands
+    still unsettled, into one reused buffer, which continues the one Philox
+    sequence exactly as ``rng.random((m, 4))`` would. A replayed deal only
+    leaves its hand unsettled; which hand it was does not matter. So the
+    chunk reads the shortest prefix of its stream that holds ``n`` settled
+    deals, whatever the block size.
     """
     rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(index))
     buffer = np.empty((min(n, _BLOCK), 4))
     counts = np.zeros(5, dtype=np.int64)
-    pending = n
-    rounds = 0
+    pending, stalled = n, 0
     while pending:
-        rounds += 1
-        if rounds > MAX_CONSECUTIVE_REPLAYS:
+        m = min(_BLOCK, pending)
+        block = _tally(rng.random(out=buffer[:m]), deck, seats)
+        counts += block
+        settled = m - int(block[4])
+        pending -= settled
+        stalled = 0 if settled else stalled + 1
+        if stalled > MAX_CONSECUTIVE_REPLAYS:
             raise RuntimeError(f"hands failed to settle within {MAX_CONSECUTIVE_REPLAYS} replays")
-        replayed = 0
-        for start in range(0, pending, _BLOCK):
-            u = rng.random(out=buffer[: min(_BLOCK, pending - start)])
-            block = _tally(u, deck, seats)
-            counts += block
-            replayed += int(block[4])
-        pending = replayed
     return counts
 
 

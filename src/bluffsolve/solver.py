@@ -27,8 +27,8 @@ exploitability, the solver returns the best certified iterate, and it stops
 at the first one within epsilon. Each step reuses the arrays of the last two
 certificates: PRM+ integrates the EV gap at the bin edges of x's, and the
 Polyak gradient runs on the merged grid and rule curve of y's. The EV gaps
-and the Polyak step run at the bets over 2**``analytic._unit_exponent``, where
-no gap or |g|^2 overflows or underflows; payoffs use the true bets.
+and the Polyak step run at the unit bets of ``_unit_bets``, where no gap or
+|g|^2 overflows or underflows; payoffs use the true bets.
 
 Neither sequence suffices alone. PRM+ minimises regret in the bin-restricted
 game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
@@ -59,7 +59,6 @@ from .analytic import (
     _ev_arrays,
     _payoff_terms,
     _require_continuous,
-    _unit_exponent,
     closed_form_equilibrium,
     conditional_evs,
     expected_payoff,
@@ -110,6 +109,15 @@ class RatioSweepRow:
     converged: bool
 
 
+def _unit_bets(a: float, b: float) -> tuple[int, float, float]:
+    """(k, a / 2**k, b / 2**k): a / 2**k in [1/2, 1), k lowered until b / 2**k is normal.
+
+    Sums and products of the unit bets stay in range; the scaling is exact.
+    """
+    k = min(math.frexp(a)[1], math.frexp(b)[1] + 1021)
+    return k, math.ldexp(a, -k), math.ldexp(b, -k)
+
+
 def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
     """Pointwise argmax of the piecewise-linear EV gap ``d`` (ties bet High)."""
     # A piece whose ends differ in sign holds one root; rounding may put it
@@ -134,7 +142,7 @@ def _action_rule(knots: np.ndarray, d: np.ndarray) -> _Rule:
 def best_response(cfg: GameConfig, opponent: Strategy) -> BestResponse:
     """Exact pure best response against a fixed opponent (ties bet High)."""
     evs = conditional_evs(cfg, opponent)
-    k = _unit_exponent(float(cfg.high_bet), float(cfg.low_bet))
+    k = _unit_bets(float(cfg.high_bet), float(cfg.low_bet))[0]
     d = np.ldexp(evs.ev_high.values, -k) - np.ldexp(evs.ev_low.values, -k)
     breakpoints, high = _action_rule(np.asarray(evs.ev_high.knots), d)
     rule = Strategy(breakpoints=tuple(breakpoints.tolist()), high_prob=tuple(high.tolist()))
@@ -170,8 +178,8 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     Runs the kernels of ``best_response(cfg, Strategy(edges[1:-1], h))`` on
     the same grids, so rule and value equal that call's exactly.
     """
-    k = _unit_exponent(a, b)
-    ev_high, ev_low = _ev_arrays(math.ldexp(a, -k), math.ldexp(b, -k), edges[1:] - edges[:-1], h)
+    _, a_unit, b_unit = _unit_bets(a, b)
+    ev_high, ev_low = _ev_arrays(a_unit, b_unit, edges[1:] - edges[:-1], h)
     gap = ev_high - ev_low
     breakpoints, high = _action_rule(edges, gap)
     interior = edges[1:-1]
@@ -211,9 +219,9 @@ def fictitious_play(
     Starts both sequences of the module docstring, PRM+ self-play and the
     Polyak subgradient step, from the curve h = 1/2 and advances them
     together, certifying every iterate with the exact continuous
-    exploitability. Stops at the first iterate with exploitability <=
-    epsilon; otherwise returns the best certified iterate within
-    ``max_iters`` steps. A non-converged run is reported via
+    exploitability. Stops at the first iterate with exploitability / b <=
+    epsilon, at every bet scale; otherwise returns the best certified
+    iterate within ``max_iters`` steps. A non-converged run is reported via
     ``converged=False``, never raised. The search is deterministic. The name
     is kept from the fictitious-play solver it replaced.
     """
@@ -227,8 +235,7 @@ def fictitious_play(
 
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     # The Polyak step runs at the bets over 2**k (see the module docstring).
-    k = _unit_exponent(a, b)
-    a_unit, b_unit = math.ldexp(a, -k), math.ldexp(b, -k)
+    k, a_unit, b_unit = _unit_bets(a, b)
     edges = np.linspace(0.0, 1.0, bins + 1)
     widths = edges[1:] - edges[:-1]
     x = y = half = np.full(bins, 0.5)
@@ -248,7 +255,7 @@ def fictitious_play(
     weighted_sum, weight = np.zeros(bins), 0
     trace: list[tuple[int, float, float]] = [(0, best_value, best_value)]
     iterations = 0
-    while best_value > epsilon and iterations < max_iters:
+    while best_value / b > epsilon and iterations < max_iters:
         iterations += 1
 
         # (a) PRM+: this iterate's regrets update the clipped sums and are
@@ -265,7 +272,7 @@ def fictitious_play(
         weighted_sum += iterations * x
         weight += iterations
         x_response = certify(x)
-        if best_value <= epsilon:
+        if best_value / b <= epsilon:
             break
 
         # (b) Polyak step on e, whose minimum is at least the game value 0;
@@ -293,7 +300,7 @@ def fictitious_play(
         exploitability=best_value,
         iterations=iterations,
         bin_count=bins,
-        converged=best_value <= epsilon,
+        converged=best_value / b <= epsilon,
         trace=tuple(trace),
     )
 
@@ -307,9 +314,9 @@ def ratio_sweep(
     """Closed-form equilibrium plus PRM+/Polyak solver verification per bet ratio.
 
     Each row carries the closed-form (t*, p*) for the ratio and the achieved
-    exploitability and iteration count of the solver run (low bet fixed at 1,
-    so epsilon is in units of the low bet). Non-convergence is flagged on the
-    row, not raised.
+    exploitability and iteration count of the solver run at low bet 1; epsilon
+    is in units of the low bet, as in ``fictitious_play``. Non-convergence is
+    flagged on the row, not raised.
     """
     # Every ratio is checked before any is solved.
     configs = [GameConfig(ratio, 1) for ratio in ratios]

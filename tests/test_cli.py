@@ -293,6 +293,15 @@ class TestSolveCommand:
         assert data["exploitability"] <= 1e-9
         assert data["bin_count"] == 2
 
+    def test_epsilon_is_in_units_of_the_low_bet(self, capsys):
+        # The start h = 1/2 is 5e-5 from equilibrium: below 1e-3 as a payoff,
+        # but 0.5 in units of b.
+        code, out, err = run(capsys, "solve", "--a", "2e-4", "--b", "1e-4", "--bins", "16")
+        data = json.loads(out)
+        assert (code, err, data["converged"]) == (0, "", True)
+        assert data["iterations"] > 0
+        assert data["exploitability"] / 1e-4 <= 1e-3
+
     def test_strict_non_convergence_exits_one(self, capsys):
         code, out, err = run(
             capsys,
@@ -343,10 +352,42 @@ def test_bad_solver_arguments_are_usage_errors(capsys, argv):
         ["simulate", "--deck", str(10**20), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
         ["simulate", "--deck", str(10**400), "--s1", "a-type", "--s2", "b-type", "--hands", "1000"],
         ["brute-force", "--deck", str(2**53 + 1), "--s1", "a-type", "--s2", "a-type"],
+        ["simulate", "--deck", "abc", "--s1", "a-type", "--s2", "b-type"],
+        ["simulate", "--s1", "a-type", "--s2", "b-type", "--hands", "0"],
+        ["simulate", "--s1", "a-type", "--s2", "b-type", "--schedule", "0,10"],
     ],
 )
 def test_non_finite_bets_and_bad_chunk_sizes_are_usage_errors(capsys, argv):
     assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, seed, stderr",
+    [
+        (
+            ["sweep", "--ratios", "1,x"],
+            None,
+            "error: bad --ratios value '1,x': could not convert string to float: 'x'\n",
+        ),
+        (
+            [*SIM, "--schedule", "1,x"],
+            None,
+            "error: bad --schedule value '1,x': invalid literal for int() with base 10: 'x'\n",
+        ),
+        (
+            ["simulate", "--s1", "a-type", "--s2", "b-type", "--hands", "10"],
+            "x",
+            "error: BLUFFSOLVE_SEED must be an integer, got 'x'\n",
+        ),
+    ],
+    ids=["ratios", "schedule", "seed-variable"],
+)
+def test_unparsable_lists_and_seed_variable(capsys, monkeypatch, argv, seed, stderr):
+    if seed is None:
+        monkeypatch.delenv("BLUFFSOLVE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BLUFFSOLVE_SEED", seed)
+    assert run(capsys, *argv) == (2, "", stderr)
 
 
 @pytest.mark.parametrize(

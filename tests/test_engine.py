@@ -67,6 +67,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GameConfig(3, 2, deck_size=1)
 
+    @pytest.mark.parametrize("deck_size", [2.0, True])
+    def test_deck_size_must_be_an_int(self, deck_size):
+        with pytest.raises(ConfigError, match="deck size must be an int"):
+            GameConfig(2, 1, deck_size=deck_size)
+
     def test_two_card_deck_allowed(self):
         assert GameConfig(3, 2, deck_size=2).deck_size == 2
 

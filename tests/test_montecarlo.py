@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -227,6 +228,11 @@ class TestCountedKernel:
             cards = np.clip(cards, 0, deck - 1)
             expected = pr[np.searchsorted(bp, cards / (deck - 1), side="right")]
             assert np.array_equal(montecarlo._high_probability(cards, seat, deck), expected)
+
+    def test_available_cores_without_affinity(self, monkeypatch):
+        # Platforms without sched_getaffinity (macOS, Windows) count every core.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert montecarlo._available_cores() == (os.cpu_count() or 1)
 
     def test_one_chunk_or_one_core_starts_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -14,12 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluffsolve import solver
-from bluffsolve.analytic import (
-    _ev_arrays,
-    _unit_exponent,
-    closed_form_equilibrium,
-    expected_payoff,
-)
+from bluffsolve.analytic import _ev_arrays, closed_form_equilibrium, expected_payoff
 from bluffsolve.engine import ConfigError, GameConfig
 from bluffsolve.montecarlo import simulate
 from bluffsolve.solver import best_response, exploitability, fictitious_play, ratio_sweep
@@ -73,6 +68,21 @@ class TestBestResponse:
             for _ in range(20):
                 rival = random_strategy(rng)
                 assert br_value >= expected_payoff(CFG, rival, opponent).value - 1e-10
+
+    def test_ties_bet_high(self):
+        # The opponent is dyadic, so ev_high - ev_low is exactly 0 on [0, 1/2],
+        # and betting Low there would earn the same value.
+        result = best_response(GameConfig(3, 1), Strategy((0.5, 0.75), (0.25, 0.5, 1.0)))
+        assert (result.action_rule, result.value) == (a_type(), 0.03125)
+
+    def test_unit_bets_lower_k_for_a_tiny_high_mass(self):
+        # The curve's High mass is about b / 2**frexp(a)[1]; the EV gap keeps
+        # its last bits only at the lowered k, where b / 2**k is normal.
+        cfg = GameConfig(8.006140758047351e307, 0.7)
+        opponent = Strategy((), (2.2e-308,))
+        result = best_response(cfg, opponent)
+        assert result.action_rule == Strategy((0.1702316095635978,), (0.0, 1.0))
+        assert result.value == 0.7307566783453451 == float(exploitability_exact(cfg, opponent))
 
     def test_rule_is_pure(self):
         rng = np.random.default_rng(1)
@@ -128,8 +138,7 @@ class TestBinnedResponse:
             response = solver._binned_response(ratio, 1.0, edges, h)
             gap = response.gap
             integrals = np.diff(edges) * (gap[:-1] + gap[1:]) / 2.0
-            k = _unit_exponent(ratio, 1.0)
-            a, b = math.ldexp(ratio, -k), math.ldexp(1.0, -k)
+            _, a, b = solver._unit_bets(ratio, 1.0)
             bin_gaps = solver._bin_gaps(a, b, edges, edges, np.diff(edges), h)
             assert np.array_equal(integrals, bin_gaps)
             grid = merge_breakpoints(response.rule[0], edges[1:-1])
@@ -343,7 +352,7 @@ class TestFictitiousPlay:
         for k in (-1000, -700, -500, 0, 500, 700, 1000, 1021, 1022):
             scale = Fraction(2) ** k
             cfg = GameConfig(Fraction(ratio) * scale, scale)
-            result = fictitious_play(cfg, bins=16, epsilon=math.ldexp(1e-4, k), max_iters=300)
+            result = fictitious_play(cfg, bins=16, epsilon=1e-4, max_iters=300)
             assert (k, result.iterations, result.strategy) == (k, base.iterations, base.strategy)
             assert (k, math.ldexp(result.exploitability, -k)) == (k, base.exploitability)
 
