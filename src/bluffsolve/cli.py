@@ -315,8 +315,8 @@ def _cmd_solve(args: argparse.Namespace, cfg: GameConfig) -> int:
     _emit(args, _json({k: v for k, v in vars(result).items() if k != "trace"}))
     if not result.converged:
         print(
-            "warning: not converged (exploitability / b "
-            f"{result.exploitability / float(cfg.low_bet):.3g} > epsilon {args.epsilon:.3g})",
+            f"warning: not converged (exploitability {result.exploitability:.3g} > "
+            f"epsilon {args.epsilon:.3g} x b {float(cfg.low_bet):.3g})",
             file=sys.stderr,
         )
         if args.strict:

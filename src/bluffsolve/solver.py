@@ -220,8 +220,9 @@ def fictitious_play(
     Polyak subgradient step, from the curve h = 1/2 and advances them
     together, certifying every iterate with the exact continuous
     exploitability. Stops at the first iterate with exploitability / b <=
-    epsilon, at every bet scale; otherwise returns the best certified
-    iterate within ``max_iters`` steps. A non-converged run is reported via
+    epsilon, the same iterate at every bet scale while the payoffs stay
+    normal floats; otherwise returns the best certified iterate within
+    ``max_iters`` steps. A non-converged run is reported via
     ``converged=False``, never raised. The search is deterministic. The name
     is kept from the fictitious-play solver it replaced.
     """
@@ -239,15 +240,17 @@ def fictitious_play(
     edges = np.linspace(0.0, 1.0, bins + 1)
     widths = edges[1:] - edges[:-1]
     x = y = half = np.full(bins, 0.5)
-    x_response = y_response = _binned_response(a, b, edges, y)
-    best_h, best_value = y, y_response.value
+    best_h, best_value, converged = y, math.inf, False
 
     def certify(h: np.ndarray) -> _Response:
-        nonlocal best_h, best_value
+        nonlocal best_h, best_value, converged
         response = _binned_response(a, b, edges, h)
         if response.value < best_value:
             best_h, best_value = h, response.value
+            converged = best_value / b <= epsilon
         return response
+
+    x_response = y_response = certify(y)
 
     # PRM+ state: clipped cumulative regrets of High and Low per bin.
     regret_high, regret_low = np.zeros(bins), np.zeros(bins)
@@ -255,7 +258,7 @@ def fictitious_play(
     weighted_sum, weight = np.zeros(bins), 0
     trace: list[tuple[int, float, float]] = [(0, best_value, best_value)]
     iterations = 0
-    while best_value / b > epsilon and iterations < max_iters:
+    while not converged and iterations < max_iters:
         iterations += 1
 
         # (a) PRM+: this iterate's regrets update the clipped sums and are
@@ -272,7 +275,7 @@ def fictitious_play(
         weighted_sum += iterations * x
         weight += iterations
         x_response = certify(x)
-        if best_value / b <= epsilon:
+        if converged:
             break
 
         # (b) Polyak step on e, whose minimum is at least the game value 0;
@@ -300,7 +303,7 @@ def fictitious_play(
         exploitability=best_value,
         iterations=iterations,
         bin_count=bins,
-        converged=best_value / b <= epsilon,
+        converged=converged,
         trace=tuple(trace),
     )
 
