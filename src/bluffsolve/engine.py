@@ -19,11 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-#: Hard cap on consecutive Monte Carlo blocks in which no deal settled.
-#: Unreachable for any valid configuration (a settled outcome always has
-#: positive probability); exists so a degenerate state reports instead of hanging.
-MAX_CONSECUTIVE_REPLAYS = 10**6
-
 #: The largest finite float, as an exact integer.
 _FLOAT_MAX = int(sys.float_info.max)
 

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo estimation and an exact brute-force oracle for finite decks.
 
 The simulator splits the hands into chunks of ``chunk_size``, each drawing from
-its own counter-based Philox stream, and runs the chunks concurrently on a
-thread pool with one worker per available core (none for a single chunk).
-Each simulated round consumes exactly four uniforms per hand (card, card, bet
-draw, bet draw).
+the seed's PCG64DXSM stream, jumped k times for chunk k, and runs the chunks
+concurrently on a thread pool with one worker per available core (none for a
+single chunk). Each simulated round consumes exactly four uniforms per hand
+(card, card, bet draw, bet draw).
 
 A chunk returns integer counts of its outcome classes (wins and losses at a
 and at b, and replays), which add exactly in any order, so an estimate is
@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import _payoff_terms
-from .engine import MAX_CONSECUTIVE_REPLAYS, GameConfig
+from .engine import GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
@@ -65,6 +65,14 @@ _BLOCK = 1 << 14
 #: so a card value's cell is exact, and 32 KB a seat whatever the strategy.
 #: A deck of at most this many cards has a table entry per card instead.
 _CELLS = 1 << 12
+
+#: Consecutive blocks in which no deal settled before a chunk gives up. Two
+#: draws give the same card with probability 1/M on a deck of M >= 2 cards
+#: (about 2**-53 on the continuous deck), so a deal replays with probability
+#: at most 1/2, and a correct chunk stalls for 64 blocks in a row with
+#: probability at most 2**-64. A state in which every deal replays reports
+#: within 64 blocks instead of hanging.
+MAX_CONSECUTIVE_REPLAYS = 64
 
 
 @dataclass(frozen=True)
@@ -182,14 +190,15 @@ def _tally(u: np.ndarray, deck: int | None, seats: tuple) -> np.ndarray:
 def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple) -> np.ndarray:
     """``_tally`` counts of chunk ``index``: ``n`` settled hands and their replays.
 
-    Each pass draws at most ``_BLOCK`` deals, and never more than the hands
-    still unsettled, into one reused buffer, which continues the one Philox
-    sequence exactly as ``rng.random((m, 4))`` would. A replayed deal only
+    It reads the seed's PCG64DXSM stream, jumped k times for chunk k =
+    ``index``. Each pass draws at most ``_BLOCK`` deals, and never more than
+    the hands still unsettled, into one reused buffer, which continues that
+    stream exactly as ``rng.random((m, 4))`` would. A replayed deal only
     leaves its hand unsettled; which hand it was does not matter. So the
     chunk reads the shortest prefix of its stream that holds ``n`` settled
     deals, whatever the block size.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(index))
+    rng = np.random.Generator(np.random.PCG64DXSM(seed % (1 << 64)).jumped(index))
     buffer = np.empty((min(n, _BLOCK), 4))
     counts = np.zeros(5, dtype=np.int64)
     pending, stalled = n, 0
@@ -201,7 +210,7 @@ def _chunk_counts(seed: int, index: int, n: int, deck: int | None, seats: tuple)
         pending -= settled
         stalled = 0 if settled else stalled + 1
         if stalled > MAX_CONSECUTIVE_REPLAYS:
-            raise RuntimeError(f"hands failed to settle within {MAX_CONSECUTIVE_REPLAYS} replays")
+            raise RuntimeError(f"no deal settled in {MAX_CONSECUTIVE_REPLAYS} blocks in a row")
     return counts
 
 

@@ -25,8 +25,13 @@ import numpy as np
 from scipy import integrate
 
 from bluffsolve.analytic import ConditionalEV
-from bluffsolve.engine import MAX_CONSECUTIVE_REPLAYS, BetAction, Card, GameConfig, settle
-from bluffsolve.montecarlo import DEFAULT_CHUNK_SIZE, ExactDiscreteValue, MCEstimate
+from bluffsolve.engine import BetAction, Card, GameConfig, settle
+from bluffsolve.montecarlo import (
+    DEFAULT_CHUNK_SIZE,
+    MAX_CONSECUTIVE_REPLAYS,
+    ExactDiscreteValue,
+    MCEstimate,
+)
 from bluffsolve.strategy import Strategy
 
 
@@ -228,9 +233,10 @@ def simulate_reference(
 ) -> MCEstimate:
     """``montecarlo.simulate`` with a payoff per hand, summed chunk by chunk.
 
-    Draws the same Philox stream: chunk k uses ``Philox(seed).jumped(k)`` and
-    each round draws four uniforms for every hand still pending. The sums
-    and moments are exact rationals of the float payoffs, rounded once.
+    Draws the same streams: chunk k reads the seed's PCG64DXSM stream, jumped
+    k times for chunk k, and each round draws four uniforms for every hand
+    still pending. The sums and moments are exact rationals of the float
+    payoffs, rounded once.
     """
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     bp1, pr1 = np.asarray(s1.breakpoints), np.asarray(s1.high_prob)
@@ -244,7 +250,7 @@ def simulate_reference(
     chunk_index = 0
     while done < hands:
         n = min(chunk_size, hands - done)
-        rng = np.random.Generator(np.random.Philox(key=seed % (1 << 64)).jumped(chunk_index))
+        rng = np.random.Generator(np.random.PCG64DXSM(seed % (1 << 64)).jumped(chunk_index))
         payoff = np.empty(n)
         pending = np.arange(n)
         rounds = 0

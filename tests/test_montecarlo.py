@@ -163,6 +163,24 @@ class TestCountedKernel:
                 cfg, SIGMA, SIGMA, hands=1, seed=seed
             )
 
+    def test_one_hand_chunks_match_reference(self):
+        # Five chunks of one hand each, on five jumped streams.
+        args = (GameConfig(2, 1, deck_size=11), SIGMA, m_deterministic(0.3))
+        kwargs = dict(hands=5, seed=3, chunk_size=1)
+        assert simulate(*args, **kwargs) == simulate_reference(*args, **kwargs)
+
+    def test_a_chunk_in_which_no_deal_settles_raises(self, monkeypatch):
+        blocks = []
+
+        def every_deal_replays(u, deck, seats):
+            blocks.append(len(u))
+            return np.array([0, 0, 0, 0, len(u)], dtype=np.int64)
+
+        monkeypatch.setattr(montecarlo, "_tally", every_deal_replays)
+        with pytest.raises(RuntimeError, match="no deal settled in 64 blocks"):
+            simulate(CFG, SIGMA, SIGMA, hands=10, seed=0)
+        assert blocks == [10] * (montecarlo.MAX_CONSECUTIVE_REPLAYS + 1)
+
     @pytest.mark.parametrize(
         "s1, s2",
         [(a_type(), threshold_mix(0.5, 0.3)), (m_deterministic(0.3), m_deterministic(0.6))],
@@ -346,6 +364,13 @@ class TestConvergenceReport:
         rows_b = convergence_report(CFG, SIGMA, SIGMA, [1000, 2000], seed=12)
         assert rows_a == rows_b
         assert rows_a[1].seed == 13
+
+    def test_one_hand_rows(self):
+        rows = convergence_report(CFG, SIGMA, SIGMA, [1, 10], seed=5)
+        assert rows == [
+            simulate(CFG, SIGMA, SIGMA, hands=1, seed=5),
+            simulate(CFG, SIGMA, SIGMA, hands=10, seed=6),
+        ]
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,20 @@ DEFECTS = (
         "a replayed deal counts as a settled hand, so a chunk settles fewer hands than asked",
     ),
     Defect(
+        "every-deal-replays",
+        "src/bluffsolve/montecarlo.py",
+        "np.minimum(cards, deck - 1, out=cards)",
+        "np.minimum(cards, deck - 2, out=cards)",
+        "card M-1 is never dealt, so at M=2 every deal ties and the replay guard must report",
+    ),
+    Defect(
+        "chunk-streams-shared",
+        "src/bluffsolve/montecarlo.py",
+        "PCG64DXSM(seed % (1 << 64)).jumped(index)",
+        "PCG64DXSM(seed % (1 << 64))",
+        "every chunk reads the one unjumped stream, so the chunks repeat each other's hands",
+    ),
+    Defect(
         "ties-bet-low",
         "src/bluffsolve/solver.py",
         "knots, d) >= 0.0",
