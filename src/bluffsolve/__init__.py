@@ -16,6 +16,7 @@ from .analytic import (
     taxonomy_table,
 )
 from .engine import (
+    ArgumentError,
     BetAction,
     Card,
     ConfigError,
@@ -50,6 +51,7 @@ from .strategy import (
 )
 
 __all__ = [
+    "ArgumentError",
     "BetAction",
     "BestResponse",
     "Card",

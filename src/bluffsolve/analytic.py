@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GameConfig
+from .engine import ArgumentError, GameConfig
 from .strategy import Strategy, a_type, b_type, m_deterministic, probabilities_on, refine
 
 #: Row/column order of the strategy-type payoff table.
@@ -25,7 +25,8 @@ TAXONOMY_KEYS = ("a", "b", "m")
 
 def _require_continuous(cfg: GameConfig) -> None:
     if not cfg.is_continuous:
-        raise ValueError(
+        raise ArgumentError(
+            "deck",
             "closed-form payoffs need the continuous card model; "
             "use montecarlo.brute_force_discrete for finite decks"
         )

@@ -19,7 +19,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import analytic, montecarlo, solver
 from .analytic import TAXONOMY_KEYS
-from .engine import ConfigError, GameConfig
+from .engine import ArgumentError, ConfigError, GameConfig
 from .strategy import Strategy, StrategyError, a_type, b_type, m_deterministic, threshold_mix
 
 ENV_SEED = "BLUFFSOLVE_SEED"
@@ -131,15 +130,6 @@ def _default_seed(value: int | None) -> int:
         return int(env)
     except ValueError:
         raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
-
-
-def _check_solver_options(args: argparse.Namespace) -> None:
-    if args.bins < 2:
-        raise UsageError(f"--bins needs at least 2 bins, got {args.bins}")
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        raise UsageError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
-    if args.max_iters < 1:
-        raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
 
 
 def _write_file(path: str, text: str, flag: str) -> None:
@@ -308,7 +298,6 @@ def _cmd_exploit(args: argparse.Namespace, cfg: GameConfig, s: Strategy) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, cfg: GameConfig) -> int:
-    _check_solver_options(args)
     result = solver.fictitious_play(
         cfg, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
     )
@@ -331,7 +320,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --ratios value {args.ratios!r}: {exc}") from exc
     if not ratios:
         raise UsageError("--ratios must list at least one ratio")
-    _check_solver_options(args)
     try:
         rows = solver.ratio_sweep(
             ratios, bins=args.bins, epsilon=args.epsilon, max_iters=args.max_iters
@@ -354,23 +342,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
     seed = _default_seed(args.seed)
-    if args.chunk_size < 1:
-        raise UsageError(f"--chunk-size must be at least 1, got {args.chunk_size}")
     if args.schedule is None:
-        if args.hands < 1:
-            raise UsageError(f"--hands must be positive, got {args.hands}")
-        schedule = [args.hands]
+        report = [montecarlo.simulate(cfg, s1, s2, args.hands, seed, args.chunk_size)]
     else:
         try:
             schedule = [int(x) for x in args.schedule.split(",") if x.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --schedule value {args.schedule!r}: {exc}") from exc
-        if not schedule or any(h < 1 for h in schedule):
-            raise UsageError("--schedule needs positive hand counts")
-    # Row k of a report runs simulate with seed + k, so one row is one plain run.
-    report = montecarlo.convergence_report(
-        cfg, s1, s2, schedule, seed=seed, chunk_size=args.chunk_size
-    )
+        report = montecarlo.convergence_report(cfg, s1, s2, schedule, seed, args.chunk_size)
     # A report is a table, CSV by default; a single estimate is JSON by default.
     if args.format == "csv" or (args.format is None and args.schedule is not None):
         template = "{},{:.17g},{:.17g},{:.17g},{}"
@@ -382,8 +361,6 @@ def _cmd_simulate(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: S
 
 
 def _cmd_brute_force(args: argparse.Namespace, cfg: GameConfig, s1: Strategy, s2: Strategy) -> int:
-    if cfg.deck_size is None:
-        raise UsageError("brute-force needs a discrete deck: pass --deck M (M >= 2)")
     result = montecarlo.brute_force_discrete(cfg, s1, s2)
     exact = {}
     for name, value in vars(result).items():
@@ -435,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         game = [_build_config(args)] if "ratio" in args else []
         _, handler = _COMMANDS[args.command]
         return handler(args, *game, *_strategies(args))
+    except ArgumentError as exc:
+        print(f"error: --{exc.parameter.replace('_', '-')}: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ConfigError, StrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

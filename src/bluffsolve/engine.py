@@ -27,6 +27,14 @@ class ConfigError(ValueError):
     """A game configuration violates the bet or deck constraints."""
 
 
+class ArgumentError(ValueError):
+    """A function argument is out of range; ``parameter`` names the argument."""
+
+    def __init__(self, parameter: str, message: str) -> None:
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class BetAction(Enum):
     HIGH = "high"
     LOW = "low"

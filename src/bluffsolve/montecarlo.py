@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import _payoff_terms
-from .engine import GameConfig
+from .engine import ArgumentError, GameConfig
 from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 DEFAULT_CHUNK_SIZE = 1 << 18
@@ -238,11 +238,14 @@ def simulate(
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MCEstimate:
-    """Estimate player 1's expected payoff from ``hands`` settled hands."""
+    """Estimate player 1's expected payoff from ``hands`` settled hands.
+
+    ``hands`` or ``chunk_size`` below 1 raises ``ArgumentError``.
+    """
     if hands < 1:
-        raise ValueError(f"need at least one hand, got {hands}")
+        raise ArgumentError("hands", f"need at least one hand, got {hands}")
     if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
+        raise ArgumentError("chunk_size", f"chunk size must be positive, got {chunk_size}")
     deck = cfg.deck_size
     seats = (_seat_tables(s1, deck), _seat_tables(s2, deck))
     chunks = -(-hands // chunk_size)
@@ -292,11 +295,14 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     different cards cancel in the card comparison and only a card against
     itself replays: the payoff kernel of ``analytic`` over the exact card
     count of each piece gives the sum over all M^2 equally likely card
-    pairs, in rational arithmetic and in O(pieces).
+    pairs, in rational arithmetic and in O(pieces). A continuous deck raises
+    ``ArgumentError``.
     """
     m = cfg.deck_size
     if m is None:
-        raise ValueError("brute force needs a discrete deck; use analytic.expected_payoff")
+        raise ArgumentError(
+            "deck", "brute force needs a discrete deck; use analytic.expected_payoff"
+        )
     grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
     # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
     below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]
@@ -323,12 +329,13 @@ def convergence_report(
     """Run ``simulate`` at each hand count with per-row derived seeds.
 
     Row k uses seed ``seed + k``, so rows are independent but the whole report
-    is reproducible from the base seed.
+    is reproducible from the base seed. An empty schedule, or a hand count
+    below 1, raises ``ArgumentError``.
     """
     if not schedule:
-        raise ValueError("schedule must contain at least one hand count")
+        raise ArgumentError("schedule", "schedule must contain at least one hand count")
     if min(schedule) < 1:
-        raise ValueError(f"need at least one hand per row, got {min(schedule)}")
+        raise ArgumentError("schedule", f"need at least one hand per row, got {min(schedule)}")
     return [
         simulate(cfg, s1, s2, hands=h, seed=seed + k, chunk_size=chunk_size)
         for k, h in enumerate(schedule)

@@ -63,7 +63,7 @@ from .analytic import (
     conditional_evs,
     expected_payoff,
 )
-from .engine import GameConfig
+from .engine import ArgumentError, GameConfig
 from .strategy import Strategy, merge_breakpoints
 
 #: A 0/1 action rule as arrays: breakpoints, and the High value per piece.
@@ -223,16 +223,17 @@ def fictitious_play(
     epsilon, the same iterate at every bet scale while the payoffs stay
     normal floats; otherwise returns the best certified iterate within
     ``max_iters`` steps. A non-converged run is reported via
-    ``converged=False``, never raised. The search is deterministic. The name
-    is kept from the fictitious-play solver it replaced.
+    ``converged=False``, never raised; an out-of-range ``bins``, ``epsilon``
+    or ``max_iters`` raises ``ArgumentError``. The search is deterministic.
+    The name is kept from the fictitious-play solver it replaced.
     """
     _require_continuous(cfg)
     if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
+        raise ArgumentError("bins", f"need at least 2 bins, got {bins}")
     if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        raise ArgumentError("epsilon", f"epsilon must be positive and finite, got {epsilon}")
     if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+        raise ArgumentError("max_iters", f"max_iters must be at least 1, got {max_iters}")
 
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     # The Polyak step runs at the bets over 2**k (see the module docstring).

@@ -302,6 +302,14 @@ class TestSolveCommand:
         assert data["iterations"] > 0
         assert data["exploitability"] / 1e-4 <= 1e-3
 
+    def test_one_step_budget_exits_zero(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--bins", "8", "--epsilon", "1e-15", "--max-iters", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["iterations"] == 1
+        assert "not converged" in err
+
     def test_strict_non_convergence_exits_one(self, capsys):
         code, out, err = run(
             capsys,
@@ -419,6 +427,36 @@ def test_unparsable_lists_and_seed_variable(capsys, monkeypatch, argv, seed, std
 def test_deck_limit_messages(capsys, deck, command, stderr):
     # GameConfig checks the deck, with the same message for every command.
     argv = [command, "--deck", deck, "--s1", "a-type", "--s2", "b-type"]
+    assert run(capsys, *argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["solve", "--bins", "1"], "error: --bins: need at least 2 bins, got 1\n"),
+        (
+            ["solve", "--epsilon", "nan"],
+            "error: --epsilon: epsilon must be positive and finite, got nan\n",
+        ),
+        (
+            ["solve", "--max-iters", "0"],
+            "error: --max-iters: max_iters must be at least 1, got 0\n",
+        ),
+        ([*SIM, "--hands", "0"], "error: --hands: need at least one hand, got 0\n"),
+        ([*SIM, "--chunk-size", "0"], "error: --chunk-size: chunk size must be positive, got 0\n"),
+        (
+            [*SIM, "--schedule", "10,0"],
+            "error: --schedule: need at least one hand per row, got 0\n",
+        ),
+        (
+            ["brute-force", "--s1", "a-type", "--s2", "b-type"],
+            "error: --deck: brute force needs a discrete deck; use analytic.expected_payoff\n",
+        ),
+    ],
+    ids=["bins", "epsilon", "max-iters", "hands", "chunk-size", "schedule", "deck"],
+)
+def test_library_argument_messages(capsys, argv, stderr):
+    # The library names the argument at fault, and main prints it as its flag.
     assert run(capsys, *argv) == (2, "", stderr)
 
 

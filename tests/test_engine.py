@@ -43,7 +43,7 @@ class TestConfig:
             GameConfig(1, 2)
 
     def test_nonpositive_low_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="low bet must be positive"):
             GameConfig(2, 0)
         with pytest.raises(ConfigError):
             GameConfig(2, -1)

@@ -410,6 +410,11 @@ class TestFictitiousPlay:
         assert result.exploitability > 1e-15
         assert result.iterations == 5
 
+    def test_one_step_is_the_smallest_budget(self):
+        result = fictitious_play(CFG, bins=8, epsilon=1e-15, max_iters=1)
+        assert not result.converged
+        assert result.iterations == 1
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             fictitious_play(CFG, bins=1, epsilon=1e-3)

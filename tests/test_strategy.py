@@ -46,6 +46,8 @@ def test_validation_errors():
         Strategy(breakpoints=(0.7, 0.2), high_prob=(0.1, 0.2, 0.3))
     with pytest.raises(StrategyError, match=r"high_prob\[1\]"):
         Strategy(breakpoints=(0.5,), high_prob=(0.5, 1.5))
+    with pytest.raises(StrategyError, match=r"high_prob\[1\]"):
+        Strategy(breakpoints=(0.5,), high_prob=(1.0, 1.5))
     with pytest.raises(StrategyError, match="one probability per interval"):
         Strategy(breakpoints=(0.5,), high_prob=(1.0,))
     with pytest.raises(StrategyError, match="inside"):

@@ -139,6 +139,13 @@ DEFECTS = (
         "ev_high = b * total_low + 2.0 * a * below_high - a * total_high",
         "ev_high rounds in another order, so solver and public certificates may part",
     ),
+    Defect(
+        "solver-bins-unchecked",
+        "src/bluffsolve/solver.py",
+        "if bins < 2:",
+        "if bins < 1:",
+        "one bin passes the solver's check, the only guard against --bins 1",
+    ),
 )
 
 #: Seconds one Tier-1 run may take before it is stopped as hung.
