@@ -226,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     ratios = group()
     ratios.add_argument("--ratios", required=True, help="comma-separated ratios, e.g. 1.5,2,3")
     hands = group()
-    hands.add_argument("--hands", type=int, default=100_000)
+    # --hands is read only without --schedule; argparse rejects the pair.
+    count = hands.add_mutually_exclusive_group()
+    count.add_argument("--hands", type=int, default=100_000)
     hands.add_argument("--seed", type=int, default=None)
     hands.add_argument("--chunk-size", type=int, default=montecarlo.DEFAULT_CHUNK_SIZE)
-    hands.add_argument(
+    count.add_argument(
         "--schedule",
         default=None,
         help="comma-separated hand counts; emits a convergence report instead",

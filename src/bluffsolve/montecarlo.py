@@ -300,9 +300,7 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     """
     m = cfg.deck_size
     if m is None:
-        raise ArgumentError(
-            "deck", "brute force needs a discrete deck; use analytic.expected_payoff"
-        )
+        raise ArgumentError("deck", "needs a discrete deck")
     grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
     # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
     below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]

@@ -22,13 +22,16 @@ advances two sequences of curves together:
     y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
     payoff of y's best response, a subgradient of e at y.
 
-Every iterate of both sequences is certified by the exact continuous
-exploitability, the solver returns the best certified iterate, and it stops
-at the first one within epsilon. Each step reuses the arrays of the last two
-certificates: PRM+ integrates the EV gap at the bin edges of x's, and the
-Polyak gradient runs on the merged grid and rule curve of y's. The EV gaps
-and the Polyak step run at the unit bets of ``_unit_bets``, where no gap or
-|g|^2 overflows or underflows; payoffs use the true bets.
+Both iterates of a step are scored together, on the (2, K) stack of their
+curves, by one fixed-shape closed-form kernel (``_scores``) at the unit bets
+of ``_unit_bets``, where no gap or |g|^2 overflows or underflows. It gives
+the EV gap at the bin edges, its bin integrals for PRM+, the best-response
+value e of each curve, and the Polyak subgradient, with no merged grid and no
+action rule. The solver keeps the best scored iterate. Every figure it
+returns is a certificate of the public kernels: once the best iterate's score
+is within epsilon, ``_binned_response`` certifies it at the true bets, and
+the search stops only if the certificate is within epsilon too; the trace's
+average and best are certified at each checkpoint, and the result at the end.
 
 Neither sequence suffices alone. PRM+ minimises regret in the bin-restricted
 game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
@@ -39,12 +42,13 @@ The Polyak sequence targets e itself and reaches the exact K=2 equilibrium
 (1/3, 1), but alone it took 470 steps to reach 1e-3 at K=200 and ratio 2,
 where the two together take 99.
 
-The search works on the bin curve as a numpy array, and a ``Strategy`` is
+The search works on the bin curves as numpy arrays, and a ``Strategy`` is
 built only for the result. The public ``best_response`` and
 ``exploitability`` take and return ``Strategy`` objects and run the same EV,
-action-rule, grid-merge and payoff kernels, so they certify the solver's
-figures bit for bit. The search keeps its historical name
-``fictitious_play`` so that callers of the API and the CLI keep working.
+action-rule, grid-merge and payoff kernels as ``_binned_response``, so every
+figure the solver returns equals theirs bit for bit. The search keeps its
+historical name ``fictitious_play`` so that callers of the API and the CLI
+keep working.
 """
 
 from __future__ import annotations
@@ -82,13 +86,14 @@ class BestResponse:
 class EquilibriumResult:
     """Outcome of an equilibrium search (see ``fictitious_play``).
 
-    ``strategy`` is the best certified iterate of the two sequences and
-    ``exploitability`` its exact continuous exploitability. ``iterations``
-    counts joint steps of the sequences. ``trace`` records checkpoints as
-    (iteration, exploitability of the linear average of the PRM+ iterates,
-    best exploitability found so far); the average is certified only at the
-    checkpoints, every 50 steps and at the end, and is never a candidate for
-    the result.
+    ``strategy`` is the best iterate of the two sequences, as scored in
+    closed form at the unit bets, and ``exploitability`` its exact
+    continuous exploitability, certified by the public kernels.
+    ``iterations`` counts joint steps of the sequences. ``trace`` records
+    checkpoints, every 50 steps and at the end, as (iteration,
+    exploitability of the linear average of the PRM+ iterates, exploitability
+    of the best iterate so far), both certified; the average is never a
+    candidate for the result.
     """
 
     strategy: Strategy
@@ -156,32 +161,21 @@ def exploitability(cfg: GameConfig, s: Strategy) -> float:
 
 
 class _Response(NamedTuple):
-    """A binned best response with the arrays the next solver step reuses.
-
-    ``gap`` is ev_high - ev_low at the bin edges against the curve, taken at
-    the bets over 2**k. ``knots`` are the rule's cuts merged with the bin
-    edges, ``lengths`` their differences, and ``curve`` the rule's High value
-    per piece between them.
-    """
+    """A binned best response: its 0/1 rule as arrays, and its exact value."""
 
     rule: _Rule
     value: float
-    gap: np.ndarray
-    knots: np.ndarray
-    lengths: np.ndarray
-    curve: np.ndarray
 
 
 def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _Response:
-    """Best response to the curve ``h`` on bins ``edges``, with its kernels' arrays.
+    """Best response to the curve ``h`` on bins ``edges``, as arrays.
 
     Runs the kernels of ``best_response(cfg, Strategy(edges[1:-1], h))`` on
     the same grids, so rule and value equal that call's exactly.
     """
     _, a_unit, b_unit = _unit_bets(a, b)
     ev_high, ev_low = _ev_arrays(a_unit, b_unit, edges[1:] - edges[:-1], h)
-    gap = ev_high - ev_low
-    breakpoints, high = _action_rule(edges, gap)
+    breakpoints, high = _action_rule(edges, ev_high - ev_low)
     interior = edges[1:-1]
     knots = np.concatenate(([0.0], merge_breakpoints(breakpoints, interior), [1.0]))
     # Each curve plays on a piece what a right-sided search finds at the
@@ -190,22 +184,74 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     curve = high[breakpoints.searchsorted(starts, side="right")]
     lengths = knots[1:] - starts
     payoff = _payoff_terms(a, b, lengths, curve, h[interior.searchsorted(starts, side="right")])
-    return _Response((breakpoints, high), payoff.value, gap, knots, lengths, curve)
+    return _Response((breakpoints, high), payoff.value)
 
 
-def _bin_gaps(
-    a: float, b: float, edges: np.ndarray, knots: np.ndarray, lengths: np.ndarray, h: np.ndarray
-) -> np.ndarray:
-    """Per-bin integral of ev_high - ev_low against the curve ``h`` on ``knots``.
+class _Scores(NamedTuple):
+    """Closed-form scores of a curve, or of each row of a stack (see ``_scores``)."""
 
-    ``knots`` hold the bin edges and possibly more breakpoints, ``lengths``
-    their differences; ``h`` gives the opponent's High probability per piece.
-    Both EVs are linear on every piece, so the trapezoid rule is exact.
+    gap: np.ndarray
+    area: np.ndarray
+    value: np.ndarray
+    gradient: np.ndarray
+
+
+def _edge_gaps(a: float, b: float, base: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """ev_high - ev_low at the bin edges v against High mass ``mass`` per bin.
+
+    With H(v) the opponent's High mass below v and H its total, the gap is
+    2b (1 - v) + (a + b) (2 H(v) - H), and ``base`` holds 2b (1 - v): one
+    prefix sum per row.
     """
-    ev_high, ev_low = _ev_arrays(a, b, lengths, h)
-    gap = ev_high - ev_low
-    pieces = lengths * (gap[:-1] + gap[1:]) / 2.0
-    return np.add.reduceat(pieces, knots.searchsorted(edges[:-1]))
+    below = np.zeros((*mass.shape[:-1], mass.shape[-1] + 1))
+    np.add.accumulate(mass, axis=-1, out=below[..., 1:])
+    return base + (a + b) * (2.0 * below - below[..., -1:])
+
+
+def _scores(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _Scores:
+    """The EV gap, its bin integrals, e(h) and a subgradient of e, in closed form.
+
+    ``h`` is a curve on the bins ``edges``, or a stack of curves in its last
+    axis; the solver passes the unit bets. Returns per curve the EV gap d at
+    the edges, its integral per bin, the best-response value e(h), and the
+    gradient in h of the payoff of h's best response r, a subgradient of e.
+    Each row of a stack gets the bits of a call on that row alone.
+
+    A player who plays h against h earns 0, so e(h) is the integral of
+    (1 - h) max(d, 0) + h max(-d, 0). On a bin d is linear from d0 to d1.
+    Where it keeps its sign, each part is a trapezoid; across a root it is
+    the triangle up to the root, w max(d0, d1)^2 / (2 |d1 - d0|) and
+    w min(d0, d1)^2 / (2 |d1 - d0|), with |d1 - d0| = |d0| + |d1|. With pos
+    and neg the sums of max(d, 0) and max(-d, 0) at the two ends and share
+    = pos / (pos + neg), the two are w/2 pos share and w/2 neg (1 - share)
+    in either case. Every term is at least 0.
+
+    The response bets High on the part share of each bin where d >= 0 (all
+    of it where d is 0 throughout: ties bet High), at its top where d rises
+    and at its bottom where d falls. Against r the gap d_r is the formula of
+    ``_edge_gaps`` with r's High length R(v) below v, which is linear on the
+    bin but for r's one cut there. So the integral of R over the bin misses
+    its trapezoid by l (w - l) / 2, with l = w share, and the bin's integral
+    of d_r is its trapezoid minus (a + b) l (w - l) where d rises, plus
+    where it falls. The gradient is minus that integral.
+    """
+    widths = edges[1:] - edges[:-1]
+    half = widths / 2.0
+    base = 2.0 * b * (1.0 - edges)
+    d = _edge_gaps(a, b, base, widths * h)
+    d0, d1 = d[..., :-1], d[..., 1:]
+    positive = np.maximum(d, 0.0)
+    negative = positive - d
+    pos = positive[..., :-1] + positive[..., 1:]
+    neg = negative[..., :-1] + negative[..., 1:]
+    span = pos + neg
+    share = np.divide(pos, span, out=np.ones_like(span), where=span > 0.0)
+    terms = (1.0 - h) * (half * pos * share) + h * (half * neg * (1.0 - share))
+    length = widths * share
+    d_r = _edge_gaps(a, b, base, length)
+    kink = (a + b) * length * (widths - length)
+    gradient = np.where(d1 > d0, kink, -kink) - half * (d_r[..., :-1] + d_r[..., 1:])
+    return _Scores(d, half * (d0 + d1), np.add.reduce(terms, axis=-1), gradient)
 
 
 def fictitious_play(
@@ -218,11 +264,11 @@ def fictitious_play(
 
     Starts both sequences of the module docstring, PRM+ self-play and the
     Polyak subgradient step, from the curve h = 1/2 and advances them
-    together, certifying every iterate with the exact continuous
-    exploitability. Stops at the first iterate with exploitability / b <=
+    together, scoring both iterates of a step in closed form. Stops at the
+    first best iterate whose certified exploitability / b is at most
     epsilon, the same iterate at every bet scale while the payoffs stay
-    normal floats; otherwise returns the best certified iterate within
-    ``max_iters`` steps. A non-converged run is reported via
+    normal floats; otherwise returns the best iterate within ``max_iters``
+    steps, certified. A non-converged run is reported via
     ``converged=False``, never raised; an out-of-range ``bins``, ``epsilon``
     or ``max_iters`` raises ``ArgumentError``. The search is deterministic.
     The name is kept from the fictitious-play solver it replaced.
@@ -233,40 +279,40 @@ def fictitious_play(
     if not 0 < epsilon < math.inf:
         raise ArgumentError("epsilon", f"epsilon must be positive and finite, got {epsilon}")
     if max_iters < 1:
-        raise ArgumentError("max_iters", f"max_iters must be at least 1, got {max_iters}")
+        raise ArgumentError("max_iters", f"need at least 1 step, got {max_iters}")
 
     a, b = float(cfg.high_bet), float(cfg.low_bet)
-    # The Polyak step runs at the bets over 2**k (see the module docstring).
-    k, a_unit, b_unit = _unit_bets(a, b)
+    # Scores run at the bets over 2**k (see the module docstring),
+    # certificates at the true bets.
+    _, a_unit, b_unit = _unit_bets(a, b)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    widths = edges[1:] - edges[:-1]
     x = y = half = np.full(bins, 0.5)
-    best_h, best_value, converged = y, math.inf, False
+    scores = _scores(a_unit, b_unit, edges, np.stack((x, y)))
+    best_h, best_score = y, float(scores.value[1])
+    certificate: tuple[np.ndarray | None, float] = (None, math.nan)
 
-    def certify(h: np.ndarray) -> _Response:
-        nonlocal best_h, best_value, converged
-        response = _binned_response(a, b, edges, h)
-        if response.value < best_value:
-            best_h, best_value = h, response.value
-            converged = best_value / b <= epsilon
-        return response
+    def certify_best() -> float:
+        nonlocal certificate
+        if certificate[0] is not best_h:
+            certificate = best_h, _binned_response(a, b, edges, best_h).value
+        return certificate[1]
 
-    x_response = y_response = certify(y)
+    start = certify_best()
+    converged = best_score / b_unit <= epsilon and start / b <= epsilon
 
     # PRM+ state: clipped cumulative regrets of High and Low per bin.
     regret_high, regret_low = np.zeros(bins), np.zeros(bins)
     # Linear average of the PRM+ iterates, certified for the trace only.
     weighted_sum, weight = np.zeros(bins), 0
-    trace: list[tuple[int, float, float]] = [(0, best_value, best_value)]
+    trace: list[tuple[int, float, float]] = [(0, start, start)]
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
 
         # (a) PRM+: this iterate's regrets update the clipped sums and are
-        # the prediction for the next iterate. The bin integrals of the EV
-        # gap come from x's certificate: the trapezoid rule on each bin.
-        d = x_response.gap
-        gap = widths * (d[:-1] + d[1:]) / 2.0
+        # the prediction for the next iterate; they are x's bin integrals
+        # of the EV gap.
+        gap = scores.area[0]
         last_high, last_low = (1.0 - x) * gap, -x * gap
         regret_high = np.maximum(regret_high + last_high, 0.0)
         regret_low = np.maximum(regret_low + last_low, 0.0)
@@ -275,33 +321,34 @@ def fictitious_play(
         x = np.divide(high_part, total, out=half.copy(), where=total > 0.0)
         weighted_sum += iterations * x
         weight += iterations
-        x_response = certify(x)
-        if converged:
-            break
 
-        # (b) Polyak step on e, whose minimum is at least the game value 0;
-        # the gradient of y's response payoff is a subgradient of e at y. It
-        # runs on the merged grid and rule curve of y's certificate.
-        g = -_bin_gaps(
-            a_unit, b_unit, edges, y_response.knots, y_response.lengths, y_response.curve
-        )
+        # (b) Polyak step on e, whose minimum is at least the game value 0.
+        g = scores.gradient[1]
         norm = float(np.add.reduce(g * g))
         if norm > 0.0:
-            y = (y - (math.ldexp(y_response.value, -k) / norm) * g).clip(0.0, 1.0)
-        y_response = certify(y)
+            y = (y - (float(scores.value[1]) / norm) * g).clip(0.0, 1.0)
+
+        scores = _scores(a_unit, b_unit, edges, np.stack((x, y)))
+        improved = False
+        for h, score in zip((x, y), scores.value.tolist()):
+            if score < best_score:
+                best_h, best_score, improved = h, score, True
+        # A closed-form score within epsilon is checked by the certificate.
+        if improved and best_score / b_unit <= epsilon:
+            converged = certify_best() / b <= epsilon
 
         if iterations % 50 == 0:
             average = _binned_response(a, b, edges, weighted_sum / weight).value
-            trace.append((iterations, average, best_value))
+            trace.append((iterations, average, certify_best()))
 
     if trace[-1][0] != iterations:
         average = _binned_response(a, b, edges, weighted_sum / weight).value
-        trace.append((iterations, average, best_value))
+        trace.append((iterations, average, certify_best()))
     return EquilibriumResult(
         strategy=Strategy(
             breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
         ),
-        exploitability=best_value,
+        exploitability=certify_best(),
         iterations=iterations,
         bin_count=bins,
         converged=converged,

@@ -10,7 +10,9 @@ code they check: ``simulate_reference``, the Monte Carlo simulator that fills
 a payoff array per chunk and sums it, run one chunk after another;
 ``brute_force_reference``, the exact discrete-deck value summed card by card
 with prefix sums in rational arithmetic; and ``response_value``, a strategy's
-payoff integrated against the opponent's conditional EVs. The indifference
+payoff integrated against the opponent's conditional EVs.
+``exploitability_exact`` and ``response_gradient_exact`` take the EV gap and
+its integrals in rational arithmetic throughout. The indifference
 conditions ``indifference_threshold`` and ``indifference_bluff`` derive the
 equilibrium (t*, p*) independently of its closed form.
 """
@@ -139,19 +141,18 @@ def indifference_bluff(ratio: float) -> float:
     return 1.0 / (ratio + 1.0)
 
 
-def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
-    """Exact best-response value against ``s``: the integral of max(ev_high, ev_low).
+def _exact_gaps(
+    a: Fraction, b: Fraction, knots: list[Fraction], probs: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """ev_low and ev_high - ev_low at each knot against a piecewise-constant curve.
 
-    The bets and the strategy's floats count as exact rationals. With H(v)
-    and L(v) the opponent's High and Low mass below v, ev_high(v) = a (2H(v)
-    - H) + b L and ev_low(v) = -b H + b (2L(v) - L). Both are linear on each
-    piece of ``s``, so each piece adds the trapezoid of ev_low plus the part
-    of the trapezoid of ev_high - ev_low that lies above zero.
+    ``knots`` run from 0 to 1 and ``probs`` give the High probability per
+    piece, all exact rationals. With H(v) and L(v) the opponent's High and
+    Low mass below v, ev_high(v) = a (2H(v) - H) + b L and ev_low(v) = -b H +
+    b (2L(v) - L).
     """
-    a, b = cfg.high_bet, cfg.low_bet
-    knots = [Fraction(0), *map(Fraction, s.breakpoints), Fraction(1)]
     lengths = [k1 - k0 for k0, k1 in zip(knots, knots[1:])]
-    high = [length * Fraction(p) for length, p in zip(lengths, s.high_prob)]
+    high = [length * p for length, p in zip(lengths, probs)]
     total_high = sum(high, Fraction(0))
     total_low = 1 - total_high
     below_high = below_low = Fraction(0)
@@ -162,8 +163,22 @@ def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
         gap.append(a * (2 * below_high - total_high) + b * total_low - low_value)
         below_high += mass
         below_low += length - mass
+    return ev_low, gap
+
+
+def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
+    """Exact best-response value against ``s``: the integral of max(ev_high, ev_low).
+
+    The bets and the strategy's floats count as exact rationals. Both EVs
+    are linear on each piece of ``s``, so each piece adds the trapezoid of
+    ev_low plus the part of the trapezoid of ev_high - ev_low that lies
+    above zero.
+    """
+    knots = [Fraction(0), *map(Fraction, s.breakpoints), Fraction(1)]
+    ev_low, gap = _exact_gaps(cfg.high_bet, cfg.low_bet, knots, [*map(Fraction, s.high_prob)])
     value = Fraction(0)
-    for length, l0, l1, d0, d1 in zip(lengths, ev_low, ev_low[1:], gap, gap[1:]):
+    for k0, k1, l0, l1, d0, d1 in zip(knots, knots[1:], ev_low, ev_low[1:], gap, gap[1:]):
+        length = k1 - k0
         value += length * (l0 + l1) / 2
         if d0 >= 0 and d1 >= 0:
             value += length * (d0 + d1) / 2
@@ -172,6 +187,42 @@ def exploitability_exact(cfg: GameConfig, s: Strategy) -> Fraction:
             top = max(d0, d1)
             value += length * top * top / (2 * abs(d0 - d1))
     return value
+
+
+def response_gradient_exact(
+    a: float, b: float, edges: np.ndarray, h: np.ndarray
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact subgradient of the exploitability at the bin curve ``h``, and its EV gap.
+
+    Bets, bin edges and curve count as exact rationals. Returns, per bin,
+    minus the integral of ev_high - ev_low against h's best response r, and
+    the EV gap d of ``h`` at the edges. r bets High where d >= 0, with a cut
+    at each root of d inside a bin; a bin that does not cross zero plays the
+    sign of its midpoint, High on a tie. The gap against r is linear between
+    the edges and r's cuts, so the trapezoid rule on that grid is exact.
+    """
+    a, b = Fraction(a), Fraction(b)
+    edges = [Fraction(e) for e in edges]
+    _, d = _exact_gaps(a, b, edges, [Fraction(p) for p in h])
+    knots, rule, pieces = [edges[0]], [], []
+    for e0, e1, d0, d1 in zip(edges, edges[1:], d, d[1:]):
+        if (d0 > 0 > d1) or (d0 < 0 < d1):
+            knots.append(e0 + (e1 - e0) * d0 / (d0 - d1))
+            rule += [Fraction(d0 > 0), Fraction(d1 > 0)]
+            pieces.append(2)
+        else:
+            rule.append(Fraction(d0 + d1 >= 0))
+            pieces.append(1)
+        knots.append(e1)
+    _, d_r = _exact_gaps(a, b, knots, rule)
+    trapezoids = [
+        (k1 - k0) * (g0 + g1) / 2 for k0, k1, g0, g1 in zip(knots, knots[1:], d_r, d_r[1:])
+    ]
+    gradient, start = [], 0
+    for count in pieces:
+        gradient.append(-sum(trapezoids[start : start + count], Fraction(0)))
+        start += count
+    return gradient, d
 
 
 def enumerate_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> tuple[Fraction, Fraction]:

@@ -440,7 +440,7 @@ def test_deck_limit_messages(capsys, deck, command, stderr):
         ),
         (
             ["solve", "--max-iters", "0"],
-            "error: --max-iters: max_iters must be at least 1, got 0\n",
+            "error: --max-iters: need at least 1 step, got 0\n",
         ),
         ([*SIM, "--hands", "0"], "error: --hands: need at least one hand, got 0\n"),
         ([*SIM, "--chunk-size", "0"], "error: --chunk-size: chunk size must be positive, got 0\n"),
@@ -450,7 +450,7 @@ def test_deck_limit_messages(capsys, deck, command, stderr):
         ),
         (
             ["brute-force", "--s1", "a-type", "--s2", "b-type"],
-            "error: --deck: brute force needs a discrete deck; use analytic.expected_payoff\n",
+            "error: --deck: needs a discrete deck\n",
         ),
     ],
     ids=["bins", "epsilon", "max-iters", "hands", "chunk-size", "schedule", "deck"],
@@ -458,6 +458,25 @@ def test_deck_limit_messages(capsys, deck, command, stderr):
 def test_library_argument_messages(capsys, argv, stderr):
     # The library names the argument at fault, and main prints it as its flag.
     assert run(capsys, *argv) == (2, "", stderr)
+
+
+def test_hands_and_schedule_exclude_each_other(capsys, monkeypatch):
+    # --hands is read only without --schedule, so argparse rejects the pair.
+    # --hands keeps its default, so --schedule alone still runs.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["simulate", "--s1", "a-type", "--s2", "b-type", "--hands", "0", "--schedule", "10"]
+    assert run(capsys, *argv, "--seed", "1") == (
+        2,
+        "",
+        "usage: bluffsolve simulate [-h] [--out OUT] [--a A] [--b B] [--ratio RATIO]\n"
+        "                           [--deck DECK] [--s1 S1] [--s1-file S1_FILE]\n"
+        "                           [--s2 S2] [--s2-file S2_FILE] [--hands HANDS]\n"
+        "                           [--seed SEED] [--chunk-size CHUNK_SIZE]\n"
+        "                           [--schedule SCHEDULE] [--format {json,csv}]\n"
+        "bluffsolve simulate: error: argument --schedule: not allowed with argument --hands\n",
+    )
+    code, _, err = run(capsys, *argv[:5], "--schedule", "10", "--seed", "1")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

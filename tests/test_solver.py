@@ -27,7 +27,12 @@ from bluffsolve.strategy import (
     threshold_mix,
 )
 
-from .oracles import exploitability_exact, quad_payoff, random_strategy
+from .oracles import (
+    exploitability_exact,
+    quad_payoff,
+    random_strategy,
+    response_gradient_exact,
+)
 
 CFG = GameConfig(2, 1)
 SIGMA = threshold_mix(0.5, 1 / 3)
@@ -126,25 +131,102 @@ class TestBinnedResponse:
         assert np.any(ev_high == ev_low)
         self.assert_matches_public(CFG, h)
 
-    @pytest.mark.parametrize("bins", [2, 16, 200])
-    def test_reused_arrays_equal_the_bin_integrals(self, bins):
-        # The solver's next step reads these arrays, so they must equal the
-        # bin integrals of _bin_gaps, at the same bets over 2**k, and the
-        # merged knots and their lengths, bit for bit.
-        rng = np.random.default_rng(bins)
+
+#: The unit roundoff of a double.
+U = Fraction(2) ** -53
+
+
+def unit_bets(ratio):
+    _, a, b = solver._unit_bets(ratio, 1.0)
+    return a, b
+
+
+def kernel_curves(bins, seed):
+    """Random curves at ratios 1.1-10, both pure curves, and h = p* below t*."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    for ratio in (1.1, 1.5, 2.0, 3.0, 6.5, 10.0):
+        yield ratio, rng.random(bins)
+    yield 2.0, np.zeros(bins)
+    yield 2.0, np.ones(bins)
+    yield 2.0, np.where(edges[:-1] < 0.5, 1 / 3, 1.0)
+
+
+class TestScores:
+    """The solver's closed-form scores against exact rational oracles."""
+
+    @pytest.mark.parametrize("bins", [2, 16, 200, 1000])
+    def test_value_within_a_rounding_bound_of_the_exact_oracle(self, bins):
         edges = np.linspace(0.0, 1.0, bins + 1)
-        for ratio in (1.5, 2.0, 3.0):
-            h = rng.random(bins)
-            response = solver._binned_response(ratio, 1.0, edges, h)
-            gap = response.gap
-            integrals = np.diff(edges) * (gap[:-1] + gap[1:]) / 2.0
-            _, a, b = solver._unit_bets(ratio, 1.0)
-            bin_gaps = solver._bin_gaps(a, b, edges, edges, np.diff(edges), h)
-            assert np.array_equal(integrals, bin_gaps)
-            grid = merge_breakpoints(response.rule[0], edges[1:-1])
-            assert np.array_equal(response.knots, np.concatenate(([0.0], grid, [1.0])))
-            assert np.array_equal(response.lengths, np.diff(response.knots))
-            assert np.array_equal(response.curve, probabilities_on(*response.rule, grid))
+        interior = tuple(edges[1:-1].tolist())
+        for ratio, h in kernel_curves(bins, bins):
+            a, b = unit_bets(ratio)
+            value = solver._scores(a, b, edges, h).value
+            exact = exploitability_exact(GameConfig(a, b), Strategy(interior, tuple(h.tolist())))
+            assert value >= 0.0
+            assert abs(Fraction(float(value)) - exact) <= 128 * bins * U * Fraction(a), ratio
+
+    @pytest.mark.parametrize("bins", [2, 16, 200])
+    def test_gap_is_exactly_zero_at_some_knots_below_t_star(self, bins):
+        # h = p* below t* = 1/2, a curve of the value test: the EV gap
+        # vanishes on [0, t*], and in floats exactly at some knots.
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        h = np.where(edges[:-1] < 0.5, 1 / 3, 1.0)
+        assert np.any(solver._scores(*unit_bets(2.0), edges, h).gap == 0.0)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+        st.floats(1 + 2**-20, 1e300),
+    )
+    @example(h=[5e-324, 1.0, 0.0], ratio=1e300)
+    def test_value_is_never_negative(self, h, ratio):
+        edges = np.linspace(0.0, 1.0, len(h) + 1)
+        scores = solver._scores(*unit_bets(ratio), edges, np.array(h))
+        assert scores.value >= 0.0
+
+    @pytest.mark.parametrize("bins", [2, 16, 200, 1000])
+    def test_each_row_of_a_stack_has_the_bits_of_a_single_curve(self, bins):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        rng = np.random.default_rng(bins)
+        for ratio in (1.1, 2.0, 10.0):
+            a, b = unit_bets(ratio)
+            stack = rng.random((2, bins))
+            stacked = solver._scores(a, b, edges, stack)
+            for row, h in enumerate(stack):
+                single = solver._scores(a, b, edges, h.copy())
+                for field, value in zip(single._fields, single):
+                    assert np.array_equal(getattr(stacked, field)[row], value), field
+
+    @pytest.mark.parametrize("bins", [2, 16, 200, 1000])
+    def test_gradient_within_a_rounding_bound_of_the_exact_integral(self, bins):
+        # The bound follows the kernel's operations at the unit bets, b < a < 1:
+        # - the EV gap at the edges is off by at most eps = 16 K u a: two
+        #   prefix sums of K terms whose total is at most 1, times a + b < 2a,
+        #   plus a few roundings;
+        # - in bin j the response's High length moves by at most
+        #   delta_j = w min(1, 4 eps / |d1 - d0|) + 4 u w where an end of the
+        #   exact gap lies within eps of 0 or the gap crosses 0, and not at
+        #   all elsewhere;
+        # - a High length moved by delta moves the gap against the response
+        #   by at most 3 (a + b) delta < 6 a delta everywhere;
+        # - the gap against the response is off by eps again, and its
+        #   integral per bin by w eps, with the kink term's roundings.
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        widths = [Fraction(w) for w in np.diff(edges)]
+        for ratio, h in kernel_curves(bins, bins + 1):
+            a, b = unit_bets(ratio)
+            gradient = solver._scores(a, b, edges, h).gradient
+            exact, gap = response_gradient_exact(a, b, edges, h)
+            eps = 16 * bins * U * Fraction(a)
+            moved = Fraction(0)
+            for w, d0, d1 in zip(widths, gap, gap[1:]):
+                if min(abs(d0), abs(d1)) <= eps or (d0 > 0) != (d1 > 0):
+                    spread = abs(d1 - d0)
+                    moved += w * (1 if spread <= 4 * eps else 4 * eps / spread) + 4 * U * w
+            for i, (w, value, g) in enumerate(zip(widths, exact, gradient.tolist())):
+                bound = w * (2 * eps + 6 * Fraction(a) * moved)
+                assert abs(Fraction(g) - value) <= bound, (ratio, i)
 
 
 class TestExploitability:
@@ -286,23 +368,23 @@ class TestFictitiousPlay:
                 (
                     1.5,
                     67,
-                    "0.000989760780727586",
-                    "de7b3cfdd5e26510f944319cb32cfa4f42df5cb1097bb63158d8be7ae4b2defe",
-                    "84d3f8d069f84c4f28c9001b22ab5d29e3f9a578cc4ed63222cd5e4a8da281fd",
+                    "0.0009897607807277612",
+                    "6ef20875b90dfc7ed9bc6fd7d86c77f2d696bee1a9f4a5836e819f00f9827e20",
+                    "78f7c7e40f45946392d650db54dc722f1711ec69b4c138f464b08e48be1f331a",
                 ),
                 (
                     2.0,
                     99,
-                    "0.0008088364235303109",
-                    "9c3d1ca492dc3a5dead656ec2d2cc3f62a0ec1318f7d28e1e6bc45d062551151",
-                    "a1b878493609c9e358d614cb2d0cfc6ad799a7747740dd4652a929eed22d7781",
+                    "0.0008088364235301609",
+                    "1c961e6d51cebf4105e31b7699b36a5292d3f34567dbc354c3a85279451cb8ea",
+                    "4c3e7acb4696558e3627a8668f7bb8fda34c4169feb209e78dbd04689f375043",
                 ),
                 (
                     3.0,
-                    348,
-                    "0.0009955839242625705",
-                    "63d671d899757473f4dfe5af3126cdfad71eb22738c73fbe894e728d6291e560",
-                    "d8431fc1086cf9c5249282c7e16285e5ee17b117c078b6c4ecb03f9d47600868",
+                    345,
+                    "0.0009914359226385824",
+                    "482180dc0a207af5f6e524c8c26a5ecc6526f8628240a812463a6d1c6d5f1e6a",
+                    "710c4ab033e965df1a880a3a67998db4280b6396260a3f3b13c4e38560308619",
                 ),
             ]
         ],
@@ -357,8 +439,9 @@ class TestFictitiousPlay:
             assert (k, math.ldexp(result.exploitability, -k)) == (k, base.exploitability)
 
     def test_final_checkpoint_is_certified_once(self, monkeypatch):
-        # The start, two iterates per step, and the averages at steps 50
-        # and 100; the run ends on a checkpoint, which is not redone.
+        # The start, then the average and the best iterate at steps 50 and
+        # 100; no score comes within epsilon, and the run ends on a
+        # checkpoint, which is not redone.
         respond = solver._binned_response
         calls = []
 
@@ -369,29 +452,41 @@ class TestFictitiousPlay:
         monkeypatch.setattr(solver, "_binned_response", counting_response)
         result = fictitious_play(CFG, bins=16, epsilon=1e-15, max_iters=100)
         assert not result.converged
-        assert len(calls) == 203
+        assert len(calls) == 5
         assert [step for step, _, _ in result.trace] == [0, 50, 100]
 
     @pytest.mark.parametrize("bins", [2, 8, 16])
     def test_every_certified_iterate_matches_the_public_certificate(self, monkeypatch, bins):
-        # Both sequences and the trace's average are certified by
+        # The best iterate and the trace's average are certified by
         # _binned_response; each value must be the public exploitability.
-        respond = solver._binned_response
-        certified = []
+        # Both iterates of every step are scored in closed form at the unit
+        # bets; each score must lie within the rounding bound of the exact
+        # oracle.
+        respond, score = solver._binned_response, solver._scores
+        certified, scored = [], []
 
         def recording_response(a, b, edges, h):
             response = respond(a, b, edges, h)
             certified.append((h.copy(), response.value))
             return response
 
+        def recording_scores(a, b, edges, h):
+            scores = score(a, b, edges, h)
+            scored.extend((a, b, curve.copy(), value) for curve, value in zip(h, scores.value))
+            return scores
+
         monkeypatch.setattr(solver, "_binned_response", recording_response)
+        monkeypatch.setattr(solver, "_scores", recording_scores)
         result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
-        # The start, two iterates per step, and the trace's averages.
-        assert len(certified) >= 1 + 2 * (result.iterations - 1)
+        # The start and each step score both curves in one call.
+        assert len(scored) == 2 * (1 + result.iterations)
         interior = tuple(np.linspace(0.0, 1.0, bins + 1)[1:-1].tolist())
         for h, value in certified:
             assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
         assert any(value == result.exploitability for _, value in certified)
+        for a, b, h, value in scored:
+            exact = exploitability_exact(GameConfig(a, b), Strategy(interior, tuple(h.tolist())))
+            assert abs(Fraction(float(value)) - exact) <= 128 * bins * U * Fraction(a)
 
     @pytest.mark.parametrize(
         "ratio", [1.2, 2.1, 2.2, 2.4, 2.6, 2.7, 2.8, 2.9, 4.0, 10.0]

@@ -98,6 +98,20 @@ DEFECTS = (
         "b / 2**k can be subnormal, and the EV gap loses its last bits",
     ),
     Defect(
+        "score-drops-negative-part",
+        "src/bluffsolve/solver.py",
+        "terms = (1.0 - h) * (half * pos * share) + h * (half * neg * (1.0 - share))",
+        "terms = (1.0 - h) * (half * pos * share)",
+        "the closed-form score leaves out max(-d, 0) where the curve bets High",
+    ),
+    Defect(
+        "gradient-kink-flipped",
+        "src/bluffsolve/solver.py",
+        "np.where(d1 > d0, kink, -kink)",
+        "np.where(d1 > d0, -kink, kink)",
+        "the Polyak gradient puts the response's High part at the wrong end of a bin it cuts",
+    ),
+    Defect(
         "card-value-shift",
         "src/bluffsolve/montecarlo.py",
         "values = cards if deck is None else cards / (deck - 1)",
