@@ -8,7 +8,7 @@ in this symmetric zero-sum game it is zero exactly at a symmetric equilibrium
 strategy, and it is a convex function e(h) of the strategy's curve h.
 
 The equilibrium search runs over strategies constant on K uniform bins and
-advances two sequences of curves together:
+advances three sequences of curves together:
 
 (a) Predictive regret matching+ (PRM+; Farina, Kroer & Sandholm, AAAI 2021)
     in self-play on the K-bin game. Each bin keeps clipped cumulative
@@ -21,26 +21,43 @@ advances two sequences of curves together:
     1969), using the known lower bound e >= 0 (the game value):
     y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
     payoff of y's best response, a subgradient of e at y.
+(c) The same Polyak step on e + I_box, I_box the indicator of [0, 1]^K, from
+    always-High: z <- clip(z - e(z) s / |s|^2, 0, 1), where s is the
+    min-norm element of g + N(z), N the normal cone of the box. That is g
+    with the parts zeroed where z = 1 and g < 0, or z = 0 and g > 0. s is a
+    subgradient of e + I_box at z, so Polyak's guarantee holds. The zeroed
+    parts would be clipped back anyway, so the only change is a longer step,
+    e/|s|^2 >= e/|g|^2.
 
-Both iterates of a step are scored together, on the (2, K) stack of their
-curves, by one fixed-shape closed-form kernel (``_scores``) at the unit bets
-of ``_unit_bets``, where no gap or |g|^2 overflows or underflows. It gives
-the EV gap at the bin edges, its bin integrals for PRM+, the best-response
-value e of each curve, and the Polyak subgradient, with no merged grid and no
-action rule. The solver keeps the best scored iterate. Every figure it
-returns is a certificate of the public kernels: once the best iterate's score
-is within epsilon, ``_binned_response`` certifies it at the true bets, and
-the search stops only if the certificate is within epsilon too; the trace's
-average and best are certified at each checkpoint, and the result at the end.
+The three iterates of a step are scored together, on the (3, K) stack of
+their curves, by one fixed-shape closed-form kernel (``_scores``) at the
+unit bets of ``_unit_bets``, where no gap or |g|^2 overflows or underflows.
+It gives the EV gap at the bin edges, its bin integrals for PRM+, the
+best-response value e of each curve, and the Polyak subgradient, with no
+merged grid and no action rule. The solver keeps the best scored iterate.
+Every figure it returns is a certificate of the public kernels: once the
+best iterate's score is within epsilon, ``_binned_response`` certifies it at
+the true bets, and the search stops only if the certificate is within
+epsilon too; the trace's average and best are certified at each checkpoint,
+and the result at the end.
 
-Neither sequence suffices alone. PRM+ minimises regret in the bin-restricted
+No sequence suffices alone. PRM+ minimises regret in the bin-restricted
 game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
 settles on always-High. Against always-High the bin [0, 1/2) is indifferent
 on average, so no bin strategy beats it, but the continuous response that
 bets Low below 1/4 wins 0.125.
-The Polyak sequence targets e itself and reaches the exact K=2 equilibrium
+The Polyak sequence y targets e itself and reaches the exact K=2 equilibrium
 (1/3, 1), but alone it took 470 steps to reach 1e-3 at K=200 and ratio 2,
-where the two together take 99.
+where x and y together take 99. With z the three take 52, and 12 / 52 / 112
+at ratios 1.5 / 2 / 3, against 67 / 99 / 345.
+z starts at always-High because a bin then leaves 1 only where the gradient
+pulls it inward. From h = 1/2 the same step converged at ratio 2 and K=200 in
+26 steps, but to a ramp from 0.46 to 1 over [0.475, 0.53], whose lowest h
+above 0.51 was 0.85; from always-High that value is 0.9991.
+y stays because z's step aims at the target 0, and overshoots where the best
+K-bin value lies far above it: at K=2 and an unreachable epsilon of 1e-6,
+x and z alone ended at 0.041667 / 0.0800 at ratios 1.5 / 3, where y reaches
+0.0404508 / 0.0793485.
 
 The search works on the bin curves as numpy arrays, and a ``Strategy`` is
 built only for the result. The public ``best_response`` and
@@ -86,14 +103,15 @@ class BestResponse:
 class EquilibriumResult:
     """Outcome of an equilibrium search (see ``fictitious_play``).
 
-    ``strategy`` is the best iterate of the two sequences, as scored in
+    ``strategy`` is the best iterate of the three sequences, as scored in
     closed form at the unit bets, and ``exploitability`` its exact
     continuous exploitability, certified by the public kernels.
     ``iterations`` counts joint steps of the sequences. ``trace`` records
     checkpoints, every 50 steps and at the end, as (iteration,
     exploitability of the linear average of the PRM+ iterates, exploitability
     of the best iterate so far), both certified; the average is never a
-    candidate for the result.
+    candidate for the result. Checkpoint 0 holds the certificate of the best
+    start in both columns.
     """
 
     strategy: Strategy
@@ -262,9 +280,10 @@ def fictitious_play(
 ) -> EquilibriumResult:
     """Find a low-exploitability strategy constant on ``bins`` uniform bins.
 
-    Starts both sequences of the module docstring, PRM+ self-play and the
-    Polyak subgradient step, from the curve h = 1/2 and advances them
-    together, scoring both iterates of a step in closed form. Stops at the
+    Starts the three sequences of the module docstring, PRM+ self-play and
+    the Polyak subgradient step from the curve h = 1/2 and the box-constrained
+    Polyak step from always-High, and advances them together, scoring the
+    three iterates of a step in closed form. Stops at the
     first best iterate whose certified exploitability / b is at most
     epsilon, the same iterate at every bet scale while the payoffs stay
     normal floats; otherwise returns the best iterate within ``max_iters``
@@ -287,9 +306,19 @@ def fictitious_play(
     _, a_unit, b_unit = _unit_bets(a, b)
     edges = np.linspace(0.0, 1.0, bins + 1)
     x = y = half = np.full(bins, 0.5)
-    scores = _scores(a_unit, b_unit, edges, np.stack((x, y)))
-    best_h, best_score = y, float(scores.value[1])
+    z = np.ones(bins)
+    scores = _scores(a_unit, b_unit, edges, np.stack((x, y, z)))
+    best_h, best_score = half, math.inf
     certificate: tuple[np.ndarray | None, float] = (None, math.nan)
+
+    def keep_best() -> bool:
+        """Make the lowest-scored curve of the step the best, if it beats it."""
+        nonlocal best_h, best_score
+        improved = False
+        for h, score in zip((x, y, z), scores.value.tolist()):
+            if score < best_score:
+                best_h, best_score, improved = h, score, True
+        return improved
 
     def certify_best() -> float:
         nonlocal certificate
@@ -297,6 +326,7 @@ def fictitious_play(
             certificate = best_h, _binned_response(a, b, edges, best_h).value
         return certificate[1]
 
+    keep_best()
     start = certify_best()
     converged = best_score / b_unit <= epsilon and start / b <= epsilon
 
@@ -328,13 +358,17 @@ def fictitious_play(
         if norm > 0.0:
             y = (y - (float(scores.value[1]) / norm) * g).clip(0.0, 1.0)
 
-        scores = _scores(a_unit, b_unit, edges, np.stack((x, y)))
-        improved = False
-        for h, score in zip((x, y), scores.value.tolist()):
-            if score < best_score:
-                best_h, best_score, improved = h, score, True
+        # (c) The same step on z with s, the min-norm element of g + N(z):
+        # the parts of g that the clip would undo are zeroed.
+        g = scores.gradient[2]
+        s = np.where(((z == 1.0) & (g < 0.0)) | ((z == 0.0) & (g > 0.0)), 0.0, g)
+        norm = float(np.add.reduce(s * s))
+        if norm > 0.0:
+            z = (z - (float(scores.value[2]) / norm) * s).clip(0.0, 1.0)
+
+        scores = _scores(a_unit, b_unit, edges, np.stack((x, y, z)))
         # A closed-form score within epsilon is checked by the certificate.
-        if improved and best_score / b_unit <= epsilon:
+        if keep_best() and best_score / b_unit <= epsilon:
             converged = certify_best() / b <= epsilon
 
         if iterations % 50 == 0:

@@ -43,20 +43,20 @@ EXACT_OUTPUTS = [
     ),
     (
         ["solve", "--ratio", "2", "--bins", "2", "--max-iters", "5"],
-        '{"strategy":{"breakpoints":[0.5],"high_prob":[0.4514042018441994,1.0]},'
-        '"exploitability":0.02213828784578751,"iterations":5,"bin_count":2,"converged":false}\n',
+        '{"strategy":{"breakpoints":[0.5],"high_prob":[0.33333333333333337,1.0]},'
+        '"exploitability":0.0,"iterations":1,"bin_count":2,"converged":true}\n',
     ),
     (
         SWEEP,
         "ratio,t_star,p_star,exploitability,iterations\n"
         "1.5,0.33333333333333331,0.40000000000000002,0.041666666666666657,3\n"
-        "2,0.5,0.33333333333333331,0.026302499789579922,3\n",
+        "2,0.5,0.33333333333333331,0,1\n",
     ),
     (
         [*SWEEP, "--format", "json"],
         '[{"ratio":1.5,"t_star":0.3333333333333333,"p_star":0.4,"exploitability":0.04166666666666666,'
         '"iterations":3,"converged":false},{"ratio":2.0,"t_star":0.5,"p_star":0.3333333333333333,'
-        '"exploitability":0.026302499789579922,"iterations":3,"converged":false}]\n',
+        '"exploitability":0.0,"iterations":1,"converged":true}]\n',
     ),
     (
         [*SIM, "--hands", "1000"],

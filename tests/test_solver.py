@@ -191,7 +191,7 @@ class TestScores:
         rng = np.random.default_rng(bins)
         for ratio in (1.1, 2.0, 10.0):
             a, b = unit_bets(ratio)
-            stack = rng.random((2, bins))
+            stack = rng.random((3, bins))
             stacked = solver._scores(a, b, edges, stack)
             for row, h in enumerate(stack):
                 single = solver._scores(a, b, edges, h.copy())
@@ -367,24 +367,24 @@ class TestFictitiousPlay:
             for run in [
                 (
                     1.5,
-                    67,
-                    "0.0009897607807277612",
-                    "6ef20875b90dfc7ed9bc6fd7d86c77f2d696bee1a9f4a5836e819f00f9827e20",
-                    "78f7c7e40f45946392d650db54dc722f1711ec69b4c138f464b08e48be1f331a",
+                    12,
+                    "0.0008989525149644417",
+                    "3165a3f4e4f58134728f77ab5ef3f608bd5f02cd0ab68a7d16b78d7eea31366c",
+                    "398e051d2042c8e7ed9d77c5a493d01a1518d4dc7651b9edbfadd748d663ab7a",
                 ),
                 (
                     2.0,
-                    99,
-                    "0.0008088364235301609",
-                    "1c961e6d51cebf4105e31b7699b36a5292d3f34567dbc354c3a85279451cb8ea",
-                    "4c3e7acb4696558e3627a8668f7bb8fda34c4169feb209e78dbd04689f375043",
+                    52,
+                    "0.0008745097560533804",
+                    "d84cdab80f0670ceec6f2fe0d17ea4e8c06e26293de137cc9078064433e27519",
+                    "768c649b14bbbd173d04d5c51b74bd7a0272b14af82db9e944c1e50e328f6c91",
                 ),
                 (
                     3.0,
-                    345,
-                    "0.0009914359226385824",
-                    "482180dc0a207af5f6e524c8c26a5ecc6526f8628240a812463a6d1c6d5f1e6a",
-                    "710c4ab033e965df1a880a3a67998db4280b6396260a3f3b13c4e38560308619",
+                    112,
+                    "0.0009249427614769212",
+                    "f3be10fed9473d8d27c85611af4429f434838dd71a43d6d2f1195fb7c77c53e8",
+                    "6385604142f2f05ded8bb3d75021a3e38ada71c7a666c97ef73be8e61e211fb8",
                 ),
             ]
         ],
@@ -459,9 +459,9 @@ class TestFictitiousPlay:
     def test_every_certified_iterate_matches_the_public_certificate(self, monkeypatch, bins):
         # The best iterate and the trace's average are certified by
         # _binned_response; each value must be the public exploitability.
-        # Both iterates of every step are scored in closed form at the unit
-        # bets; each score must lie within the rounding bound of the exact
-        # oracle.
+        # The three iterates of every step are scored in closed form at the
+        # unit bets; each score must lie within the rounding bound of the
+        # exact oracle.
         respond, score = solver._binned_response, solver._scores
         certified, scored = [], []
 
@@ -478,8 +478,8 @@ class TestFictitiousPlay:
         monkeypatch.setattr(solver, "_binned_response", recording_response)
         monkeypatch.setattr(solver, "_scores", recording_scores)
         result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
-        # The start and each step score both curves in one call.
-        assert len(scored) == 2 * (1 + result.iterations)
+        # The start and each step score the three curves in one call.
+        assert len(scored) == 3 * (1 + result.iterations)
         interior = tuple(np.linspace(0.0, 1.0, bins + 1)[1:-1].tolist())
         for h, value in certified:
             assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
@@ -498,6 +498,41 @@ class TestFictitiousPlay:
         result = fictitious_play(cfg, bins=200, epsilon=1e-3, max_iters=5000)
         assert result.converged
         assert exploitability(cfg, result.strategy) == result.exploitability
+
+    @pytest.mark.parametrize(
+        ("ratio", "upper", "lower"),
+        [
+            pytest.param(1.5, 0.040450849718747475, 0.04042, id="1.5"),
+            pytest.param(3.0, 0.0793484972340269, 0.07812, id="3.0"),
+        ],
+    )
+    def test_unreachable_two_bin_runs_keep_their_values(self, ratio, upper, lower):
+        # No 2-bin curve reaches 1e-6 at these ratios: the best 2-bin values
+        # are 0.0404508 and 0.078125, with the LP lower bounds 0.04042 and
+        # 0.07812 (ROADMAP item 4). The box-constrained step overshoots a
+        # target of 0 that lies this far below the optimum, so the plain
+        # Polyak sequence must still be there to reach these values.
+        result = fictitious_play(GameConfig(Fraction(ratio), 1), bins=2, epsilon=1e-6)
+        assert not result.converged
+        assert lower <= result.exploitability <= upper
+
+    def test_zero_min_norm_step_leaves_the_curve(self):
+        # At ratio 1.3 and 2 bins the gradient at always-High is negative in
+        # both bins, so the min-norm element of g + N(z) is 0 and the
+        # box-constrained step must be skipped, not divided by 0.
+        cfg = GameConfig(Fraction(13, 10), 1)
+        edges = np.linspace(0.0, 1.0, 3)
+        gradient = solver._scores(*unit_bets(1.3), edges, np.ones(2)).gradient
+        assert np.all(gradient < 0.0)
+        result = fictitious_play(cfg, bins=2, epsilon=1e-6, max_iters=50)
+        assert (result.iterations, result.exploitability) == (50, 0.01730769230769233)
+
+    @pytest.mark.parametrize("ratio", [2, 3])
+    def test_converges_at_a_thousand_bins(self, ratio):
+        cfg = GameConfig(ratio, 1)
+        result = fictitious_play(cfg, bins=1000, epsilon=1e-4, max_iters=5000)
+        assert result.converged
+        assert result.exploitability <= 1e-4
 
     def test_non_convergence_is_reported_not_raised(self):
         result = fictitious_play(CFG, bins=200, epsilon=1e-15, max_iters=5)

@@ -151,7 +151,15 @@ DEFECTS = (
         "src/bluffsolve/analytic.py",
         "ev_high = b * total_low + a * (2.0 * below_high - total_high)",
         "ev_high = b * total_low + 2.0 * a * below_high - a * total_high",
-        "ev_high rounds in another order, so solver and public certificates may part",
+        "ev_high rounds in another order, in the solver's certificates and the public path"
+        " alike; the pinned evs stdout at 2e-300 / 1e-300 sees the moved last bits",
+    ),
+    Defect(
+        "box-step-mask-flipped",
+        "src/bluffsolve/solver.py",
+        "(z == 1.0) & (g < 0.0)",
+        "(z == 1.0) & (g > 0.0)",
+        "the box-constrained step zeroes the wrong part of g at the upper bound",
     ),
     Defect(
         "solver-bins-unchecked",
