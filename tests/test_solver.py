@@ -317,6 +317,23 @@ class TestFictitiousPlay:
         assert below == pytest.approx(1 / 3, abs=1e-6)
         assert above == pytest.approx(1.0, abs=1e-9)
 
+    def test_plain_polyak_step_alone_reaches_the_two_bin_equilibrium(self):
+        # The solver converges at K=2 through z before y gets there, so y's
+        # step is run alone here, from h = 1/2 as in the solver:
+        # y <- clip(y - e(y) g / |g|^2, 0, 1) reaches (1/3, 1), about 200 steps.
+        a, b = unit_bets(2.0)
+        edges = np.linspace(0.0, 1.0, 3)
+        y = np.full(2, 0.5)
+        for _ in range(300):
+            scores = solver._scores(a, b, edges, y)
+            g = scores.gradient
+            y = (y - (float(scores.value) / float(np.add.reduce(g * g))) * g).clip(0.0, 1.0)
+            if exploitability(CFG, Strategy((0.5,), tuple(y.tolist()))) <= 1e-9:
+                break
+        assert exploitability(CFG, Strategy((0.5,), tuple(y.tolist()))) <= 1e-9
+        assert y[0] == pytest.approx(1 / 3, abs=1e-6)
+        assert y[1] == 1.0
+
     def test_two_hundred_bins_at_ratio_two(self):
         result = fictitious_play(CFG, bins=200, epsilon=1e-3, max_iters=5000)
         assert result.converged
@@ -367,24 +384,24 @@ class TestFictitiousPlay:
             for run in [
                 (
                     1.5,
-                    12,
-                    "0.0008989525149644417",
-                    "3165a3f4e4f58134728f77ab5ef3f608bd5f02cd0ab68a7d16b78d7eea31366c",
-                    "398e051d2042c8e7ed9d77c5a493d01a1518d4dc7651b9edbfadd748d663ab7a",
+                    16,
+                    "0.0009354260677836117",
+                    "386b361ed23af58e79b37d9508626d80c74bf67d90f6f2e77363593900362f70",
+                    "6e127e74b22ba039bc0628bd1da79ca8d8ad57033261b0c53c0c1a5636ae57d3",
                 ),
                 (
                     2.0,
-                    52,
-                    "0.0008745097560533804",
-                    "d84cdab80f0670ceec6f2fe0d17ea4e8c06e26293de137cc9078064433e27519",
-                    "768c649b14bbbd173d04d5c51b74bd7a0272b14af82db9e944c1e50e328f6c91",
+                    29,
+                    "0.0008051425313142825",
+                    "9d92a1f25153311f10708ab327026e7e8c8d5d900382200906441b7f32f8055e",
+                    "678b3770c8dc97f93f1a298b3db54c43f4fd7c2290a8a1f42abe280deff2cb12",
                 ),
                 (
                     3.0,
-                    112,
-                    "0.0009249427614769212",
-                    "f3be10fed9473d8d27c85611af4429f434838dd71a43d6d2f1195fb7c77c53e8",
-                    "6385604142f2f05ded8bb3d75021a3e38ada71c7a666c97ef73be8e61e211fb8",
+                    51,
+                    "0.0009166109252243121",
+                    "dede60725170aed174752bb1af8d1abbaf31e15ba0d733e2e0d13adba6bee935",
+                    "8327f2c04963325ce31cdd96145e8587d623838a64d044d69f16248b1a36849c",
                 ),
             ]
         ],

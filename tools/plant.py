@@ -162,6 +162,14 @@ DEFECTS = (
         "the box-constrained step zeroes the wrong part of g at the upper bound",
     ),
     Defect(
+        "heavy-ball-prev-unadvanced",
+        "src/bluffsolve/solver.py",
+        "(z - step + _HEAVY_BALL * (z - z_prev)).clip(0.0, 1.0), z\n",
+        "(z - step + _HEAVY_BALL * (z - z_prev)).clip(0.0, 1.0), z_prev\n",
+        "z_prev stays at always-High, so the heavy-ball term adds half of z's whole move,"
+        " not of its last",
+    ),
+    Defect(
         "solver-bins-unchecked",
         "src/bluffsolve/solver.py",
         "if bins < 2:",
