@@ -8,65 +8,63 @@ in this symmetric zero-sum game it is zero exactly at a symmetric equilibrium
 strategy, and it is a convex function e(h) of the strategy's curve h.
 
 The equilibrium search runs over strategies constant on K uniform bins and
-advances three sequences of curves together:
+advances two sequences of curves together:
 
-(a) Predictive regret matching+ (PRM+; Farina, Kroer & Sandholm, AAAI 2021)
-    in self-play on the K-bin game. Each bin keeps clipped cumulative
-    regrets of High and Low, predicts the next regrets by the last ones, and
-    plays High with probability [Q + m]+_High / ([Q + m]+_High + [Q + m]+_Low)
-    (1/2 where both vanish). The bin action values are the integrals of
-    ev_high and ev_low over the bin, exact by the trapezoid rule because the
-    EVs are linear there.
-(b) Projected subgradient descent on e with Polyak's step size (Polyak,
-    1969), using the known lower bound e >= 0 (the game value):
-    y <- clip(y - e(y) g / |g|^2, 0, 1), where g is the gradient in y of the
-    payoff of y's best response, a subgradient of e at y.
-(c) The same Polyak step on e + I_box, I_box the indicator of [0, 1]^K, from
-    always-High, with a heavy-ball term (Polyak, 1964):
+(a) CFR-BR: regret matching+ against the exact best response (Johanson,
+    Bard, Burch & Bowling, AAAI 2012), from h = 1/2. Against the response
+    r to w, the loss of High in a bin is the gradient g of r's payoff
+    there. Each bin keeps clipped cumulative regrets of High and Low and
+    plays High with probability R_High / (R_High + R_Low) (1/2 where both
+    vanish).
+(b) Projected subgradient descent on e + I_box with Polyak's step size
+    (Polyak, 1969), I_box the indicator of [0, 1]^K, using the known lower
+    bound e >= 0 (the game value), with a heavy-ball term (Polyak, 1964),
+    from always-High:
     z <- clip(z - e(z) s / |s|^2 + beta (z - z_prev), 0, 1), beta = 1/2,
     where z_prev is z before its last step and starts equal to z, and s is
     the min-norm element of g + N(z), N the normal cone of the box. That is
-    g with the parts zeroed where z = 1 and g < 0, or z = 0 and g > 0. The
-    zeroed parts would be clipped back anyway, so they only lengthen the
-    step, e/|s|^2 >= e/|g|^2. A step with s = 0 is skipped and leaves z and
-    z_prev as they are. Without the heavy-ball term s is a subgradient of
-    e + I_box at z and Polyak's guarantee would hold; with it the guarantee
-    no longer covers z. What the solver returns stays sound, because every
-    figure of it is certified (below).
+    the subgradient g with the parts zeroed where z = 1 and g < 0, or z = 0
+    and g > 0. The zeroed parts would be clipped back anyway, so they only
+    lengthen the step, e/|s|^2 >= e/|g|^2. A step with s = 0 is skipped and
+    leaves z and z_prev as they are. The heavy-ball term takes z outside
+    Polyak's guarantee, which holds for s alone; what the solver returns
+    stays sound, because every figure of it is certified (below).
 
-The three iterates of a step are scored together, on the (3, K) stack of
+The two iterates of a step are scored together, on the (2, K) stack of
 their curves, by one fixed-shape closed-form kernel (``_scores``) at the
 unit bets of ``_unit_bets``, where no gap or |g|^2 overflows or underflows.
-It gives the EV gap at the bin edges, its bin integrals for PRM+, the
-best-response value e of each curve, and the Polyak subgradient, with no
-merged grid and no action rule. The solver keeps the best scored iterate.
-Every figure it returns is a certificate of the public kernels: once the
-best iterate's score is within epsilon, ``_binned_response`` certifies it at
-the true bets, and the search stops only if the certificate is within
-epsilon too; the trace's average and best are certified at each checkpoint,
-and the result at the end.
+It gives the EV gap at the bin edges, the best-response value e of each
+curve, and the gradient g in the curve of the payoff of its best response,
+a subgradient of e, with no merged grid and no action rule. The solver
+keeps the best scored iterate. Every exploitability it returns is a
+certificate of the public kernels: once the best iterate's score is within
+epsilon, ``_binned_response`` certifies it at the true bets, and the search
+stops only if the certificate is within epsilon too; the trace's best is
+certified at each checkpoint, and the result at the end.
 
-No sequence suffices alone. PRM+ minimises regret in the bin-restricted
-game, whose equilibria need not be continuous ones: at K=2 and ratio 2 it
-settles on always-High. Against always-High the bin [0, 1/2) is indifferent
-on average, so no bin strategy beats it, but the continuous response that
-bets Low below 1/4 wins 0.125.
-The Polyak sequence y targets e itself and reaches the exact K=2 equilibrium
-(1/3, 1), but alone it took 470 steps to reach 1e-3 at K=200 and ratio 2,
-where x and y together take 99. With z the three take 29, and 16 / 29 / 51
-at ratios 1.5 / 2 / 3, against 67 / 99 / 345 without z and 12 / 52 / 112
-with z but no heavy-ball term. The term damps z's zigzag: over 14 ratios
-from 1.1 to 10 at K=200 the steps fell from 1376 to 815 in all, though
-ratios 1.2 to 1.5 take a few more, and at K=1000 and epsilon 1e-4 ratio 2
-takes 1584 steps instead of 1276 (ratio 3: 2464 instead of 3357).
+The payoff of the response r_t to w_t is e(w_t) + g_t.(x - w_t), linear in
+the K-bin curve x, and e(x) is at least each such plane, so at least their
+linearly weighted average. Over the box that gives the lower bound
+LB = (C + sum_i min(G_i, 0)) / W on the best K-bin exploitability, with
+C = sum_t t (e(w_t) - g_t.w_t), G = sum_t t g_t and W = sum_t t (the start
+is t = 1), O(K) a step; RM+'s regret bound drives it up to that optimum.
+The trace reports it at the true bets. It is a float figure, not yet a
+proof, as its rounding is not bounded, so the search does not stop on it.
+
+Two rows suffice. Over 90 runs (15 ratios from 1.1 to 20, K = 2, 3, 8, 50,
+200 and 400, epsilon 1e-3), w and z converge in the same 50 runs as the
+three rows they replaced (PRM+ self-play, the plain Polyak step and z), all
+in the same steps but ratio 3 at K=3 (15 against 10). 39 of the other 40
+end with LB above epsilon, which shows epsilon out of reach at that K. w
+does the plain Polyak step's job: z's step aims at the target 0 and
+overshoots where the best K-bin value lies far above it, and at K=2 and an
+unreachable epsilon of 1e-6, w ends at the 2-bin optima phi/40 = 0.0404508
+(ratio 1.5) and 5/64 (ratio 3), with LB within 6e-8 of each.
 z starts at always-High because a bin then leaves 1 only where the gradient
-pulls it inward. From h = 1/2 its step without the heavy-ball term converged
-at ratio 2 and K=200 in 26 steps, but to a ramp from 0.46 to 1 over
-[0.475, 0.53], whose lowest h above 0.51 was 0.85; from always-High that
-value is 0.994.
-y stays because z's step aims at the target 0, and overshoots where the best
-K-bin value lies far above it: at K=2 and an unreachable epsilon of 1e-6,
-x and z alone end at 0.041667 at ratio 1.5, where y reaches 0.0404508.
+pulls it inward; from h = 1/2 it reached 1e-3 at ratio 2 and K=200 on a
+ramp whose lowest h above 0.51 was 0.85, against 0.994. The heavy-ball term
+damps z's zigzag: over 14 ratios from 1.1 to 10 at K=200 the steps fell
+from 1376 to 815 in all.
 
 The search works on the bin curves as numpy arrays, and a ``Strategy`` is
 built only for the result. The public ``best_response`` and
@@ -115,15 +113,15 @@ class BestResponse:
 class EquilibriumResult:
     """Outcome of an equilibrium search (see ``fictitious_play``).
 
-    ``strategy`` is the best iterate of the three sequences, as scored in
+    ``strategy`` is the best iterate of the two sequences, as scored in
     closed form at the unit bets, and ``exploitability`` its exact
     continuous exploitability, certified by the public kernels.
     ``iterations`` counts joint steps of the sequences. ``trace`` records
-    checkpoints, every 50 steps and at the end, as (iteration,
-    exploitability of the linear average of the PRM+ iterates, exploitability
-    of the best iterate so far), both certified; the average is never a
-    candidate for the result. Checkpoint 0 holds the certificate of the best
-    start in both columns.
+    checkpoints, every 50 steps and at the end, as (iteration, the CFR-BR
+    lower bound on the best binned exploitability, the certified
+    exploitability of the best iterate so far), both at the true bets; the
+    bound is a float figure, not a proof. Checkpoint 0 holds the bound from
+    the CFR-BR start and the certificate of the best start.
     """
 
     strategy: Strategy
@@ -221,7 +219,6 @@ class _Scores(NamedTuple):
     """Closed-form scores of a curve, or of each row of a stack (see ``_scores``)."""
 
     gap: np.ndarray
-    area: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
 
@@ -239,11 +236,11 @@ def _edge_gaps(a: float, b: float, base: np.ndarray, mass: np.ndarray) -> np.nda
 
 
 def _scores(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _Scores:
-    """The EV gap, its bin integrals, e(h) and a subgradient of e, in closed form.
+    """The EV gap, e(h) and a subgradient of e, in closed form.
 
     ``h`` is a curve on the bins ``edges``, or a stack of curves in its last
     axis; the solver passes the unit bets. Returns per curve the EV gap d at
-    the edges, its integral per bin, the best-response value e(h), and the
+    the edges, the best-response value e(h), and the
     gradient in h of the payoff of h's best response r, a subgradient of e.
     Each row of a stack gets the bits of a call on that row alone.
 
@@ -281,7 +278,7 @@ def _scores(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _Scores:
     d_r = _edge_gaps(a, b, base, length)
     kink = (a + b) * length * (widths - length)
     gradient = np.where(d1 > d0, kink, -kink) - half * (d_r[..., :-1] + d_r[..., 1:])
-    return _Scores(d, half * (d0 + d1), np.add.reduce(terms, axis=-1), gradient)
+    return _Scores(d, np.add.reduce(terms, axis=-1), gradient)
 
 
 def fictitious_play(
@@ -292,19 +289,18 @@ def fictitious_play(
 ) -> EquilibriumResult:
     """Find a low-exploitability strategy constant on ``bins`` uniform bins.
 
-    Starts the three sequences of the module docstring, PRM+ self-play and
-    the Polyak subgradient step from the curve h = 1/2 and the box-constrained
-    Polyak step with a heavy-ball term from always-High, and advances them
-    together, scoring the three iterates of a step in closed form. At 200
-    bins and epsilon 1e-3 this takes 16 / 29 / 51 steps at ratios
-    1.5 / 2 / 3. The heavy-ball term leaves z outside Polyak's guarantee; what
-    is returned stays sound because ``_binned_response`` certifies it. Stops
-    at the first best iterate whose certified exploitability / b is at most
-    epsilon, the same iterate at every bet scale while the payoffs stay
-    normal floats; otherwise returns the best iterate within ``max_iters``
-    steps, certified. A non-converged run is reported via
-    ``converged=False``, never raised; an out-of-range ``bins``, ``epsilon``
-    or ``max_iters`` raises ``ArgumentError``. The search is deterministic.
+    Starts the two sequences of the module docstring, CFR-BR from the curve
+    h = 1/2 and the box-constrained Polyak step with a heavy-ball term from
+    always-High, and advances them together, scoring the two iterates of a
+    step in closed form. At 200 bins and epsilon 1e-3 this takes
+    16 / 29 / 51 steps at ratios 1.5 / 2 / 3. CFR-BR's lower bound goes to
+    the trace only. Stops at the first best iterate whose exploitability / b,
+    certified by ``_binned_response``, is at most epsilon, the same iterate
+    at every bet scale while the payoffs stay normal floats; otherwise
+    returns the best iterate within ``max_iters`` steps, certified. A
+    non-converged run is reported via ``converged=False``, never raised; an
+    out-of-range ``bins``, ``epsilon`` or ``max_iters`` raises
+    ``ArgumentError``. The search is deterministic.
     The name is kept from the fictitious-play solver it replaced.
     """
     _require_continuous(cfg)
@@ -318,19 +314,23 @@ def fictitious_play(
     a, b = float(cfg.high_bet), float(cfg.low_bet)
     # Scores run at the bets over 2**k (see the module docstring),
     # certificates at the true bets.
-    _, a_unit, b_unit = _unit_bets(a, b)
+    k, a_unit, b_unit = _unit_bets(a, b)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    x = y = half = np.full(bins, 0.5)
+    w = half = np.full(bins, 0.5)
     z = z_prev = np.ones(bins)
-    scores = _scores(a_unit, b_unit, edges, np.stack((x, y, z)))
+    scores = _scores(a_unit, b_unit, edges, np.stack((w, z)))
     best_h, best_score = half, math.inf
     certificate: tuple[np.ndarray | None, float] = (None, math.nan)
+    # CFR-BR state: clipped cumulative regrets of High and Low per bin, and
+    # the linearly weighted sums C, G and W of the responses' payoff planes.
+    regret_high, regret_low = np.zeros(bins), np.zeros(bins)
+    plane_sum, slope_sum, weight = 0.0, np.zeros(bins), 0
 
     def keep_best() -> bool:
         """Make the lowest-scored curve of the step the best, if it beats it."""
         nonlocal best_h, best_score
         improved = False
-        for h, score in zip((x, y, z), scores.value.tolist()):
+        for h, score in zip((w, z), scores.value.tolist()):
             if score < best_score:
                 best_h, best_score, improved = h, score, True
         return improved
@@ -341,60 +341,58 @@ def fictitious_play(
             certificate = best_h, _binned_response(a, b, edges, best_h).value
         return certificate[1]
 
+    def add_plane(t: int) -> None:
+        """Add t times the payoff plane e(w) + g.(x - w) of w's response."""
+        nonlocal plane_sum, slope_sum, weight
+        g = scores.gradient[0]
+        plane_sum += t * (float(scores.value[0]) - float(np.add.reduce(g * w)))
+        slope_sum = slope_sum + t * g
+        weight += t
+
+    def lower_bound() -> float:
+        """The weighted planes' minimum over the box, at the true bets."""
+        low = float(np.add.reduce(np.minimum(slope_sum, 0.0)))
+        return math.ldexp((plane_sum + low) / weight, k)
+
     keep_best()
+    add_plane(1)
     start = certify_best()
     converged = best_score / b_unit <= epsilon and start / b <= epsilon
 
-    # PRM+ state: clipped cumulative regrets of High and Low per bin.
-    regret_high, regret_low = np.zeros(bins), np.zeros(bins)
-    # Linear average of the PRM+ iterates, certified for the trace only.
-    weighted_sum, weight = np.zeros(bins), 0
-    trace: list[tuple[int, float, float]] = [(0, start, start)]
+    trace: list[tuple[int, float, float]] = [(0, lower_bound(), start)]
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
 
-        # (a) PRM+: this iterate's regrets update the clipped sums and are
-        # the prediction for the next iterate; they are x's bin integrals
-        # of the EV gap.
-        gap = scores.area[0]
-        last_high, last_low = (1.0 - x) * gap, -x * gap
-        regret_high = np.maximum(regret_high + last_high, 0.0)
-        regret_low = np.maximum(regret_low + last_low, 0.0)
-        high_part = np.maximum(regret_high + last_high, 0.0)
-        total = high_part + np.maximum(regret_low + last_low, 0.0)
-        x = np.divide(high_part, total, out=half.copy(), where=total > 0.0)
-        weighted_sum += iterations * x
-        weight += iterations
+        # (a) RM+ against w's best response: the loss of High in a bin is
+        # the response's gradient there.
+        gap = -scores.gradient[0]
+        regret_high = np.maximum(regret_high + (1.0 - w) * gap, 0.0)
+        regret_low = np.maximum(regret_low - w * gap, 0.0)
+        total = regret_high + regret_low
+        w = np.divide(regret_high, total, out=half.copy(), where=total > 0.0)
 
-        # (b) Polyak step on e, whose minimum is at least the game value 0.
-        g = scores.gradient[1]
-        norm = float(np.add.reduce(g * g))
-        if norm > 0.0:
-            y = (y - (float(scores.value[1]) / norm) * g).clip(0.0, 1.0)
-
-        # (c) The same step on z with s, the min-norm element of g + N(z):
+        # (b) Polyak's step on z with s, the min-norm element of g + N(z):
         # the parts of g that the clip would undo are zeroed. The heavy-ball
         # term carries on along z's last move.
-        g = scores.gradient[2]
+        g = scores.gradient[1]
         s = np.where(((z == 1.0) & (g < 0.0)) | ((z == 0.0) & (g > 0.0)), 0.0, g)
         norm = float(np.add.reduce(s * s))
         if norm > 0.0:
-            step = (float(scores.value[2]) / norm) * s
+            step = (float(scores.value[1]) / norm) * s
             z, z_prev = (z - step + _HEAVY_BALL * (z - z_prev)).clip(0.0, 1.0), z
 
-        scores = _scores(a_unit, b_unit, edges, np.stack((x, y, z)))
+        scores = _scores(a_unit, b_unit, edges, np.stack((w, z)))
+        add_plane(iterations + 1)
         # A closed-form score within epsilon is checked by the certificate.
         if keep_best() and best_score / b_unit <= epsilon:
             converged = certify_best() / b <= epsilon
 
         if iterations % 50 == 0:
-            average = _binned_response(a, b, edges, weighted_sum / weight).value
-            trace.append((iterations, average, certify_best()))
+            trace.append((iterations, lower_bound(), certify_best()))
 
     if trace[-1][0] != iterations:
-        average = _binned_response(a, b, edges, weighted_sum / weight).value
-        trace.append((iterations, average, certify_best()))
+        trace.append((iterations, lower_bound(), certify_best()))
     return EquilibriumResult(
         strategy=Strategy(
             breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
@@ -413,7 +411,7 @@ def ratio_sweep(
     epsilon: float = 1e-3,
     max_iters: int = 5000,
 ) -> list[RatioSweepRow]:
-    """Closed-form equilibrium plus PRM+/Polyak solver verification per bet ratio.
+    """Closed-form equilibrium plus CFR-BR/Polyak solver verification per bet ratio.
 
     Each row carries the closed-form (t*, p*) for the ratio and the achieved
     exploitability and iteration count of the solver run at low bet 1; epsilon

@@ -49,12 +49,12 @@ EXACT_OUTPUTS = [
     (
         SWEEP,
         "ratio,t_star,p_star,exploitability,iterations\n"
-        "1.5,0.33333333333333331,0.40000000000000002,0.041666666666666657,3\n"
+        "1.5,0.33333333333333331,0.40000000000000002,0.040463868086990873,3\n"
         "2,0.5,0.33333333333333331,0,1\n",
     ),
     (
         [*SWEEP, "--format", "json"],
-        '[{"ratio":1.5,"t_star":0.3333333333333333,"p_star":0.4,"exploitability":0.04166666666666666,'
+        '[{"ratio":1.5,"t_star":0.3333333333333333,"p_star":0.4,"exploitability":0.04046386808699087,'
         '"iterations":3,"converged":false},{"ratio":2.0,"t_star":0.5,"p_star":0.3333333333333333,'
         '"exploitability":0.0,"iterations":1,"converged":true}]\n',
     ),

@@ -317,23 +317,6 @@ class TestFictitiousPlay:
         assert below == pytest.approx(1 / 3, abs=1e-6)
         assert above == pytest.approx(1.0, abs=1e-9)
 
-    def test_plain_polyak_step_alone_reaches_the_two_bin_equilibrium(self):
-        # The solver converges at K=2 through z before y gets there, so y's
-        # step is run alone here, from h = 1/2 as in the solver:
-        # y <- clip(y - e(y) g / |g|^2, 0, 1) reaches (1/3, 1), about 200 steps.
-        a, b = unit_bets(2.0)
-        edges = np.linspace(0.0, 1.0, 3)
-        y = np.full(2, 0.5)
-        for _ in range(300):
-            scores = solver._scores(a, b, edges, y)
-            g = scores.gradient
-            y = (y - (float(scores.value) / float(np.add.reduce(g * g))) * g).clip(0.0, 1.0)
-            if exploitability(CFG, Strategy((0.5,), tuple(y.tolist()))) <= 1e-9:
-                break
-        assert exploitability(CFG, Strategy((0.5,), tuple(y.tolist()))) <= 1e-9
-        assert y[0] == pytest.approx(1 / 3, abs=1e-6)
-        assert y[1] == 1.0
-
     def test_two_hundred_bins_at_ratio_two(self):
         result = fictitious_play(CFG, bins=200, epsilon=1e-3, max_iters=5000)
         assert result.converged
@@ -367,11 +350,12 @@ class TestFictitiousPlay:
         result = fictitious_play(CFG, bins=50, epsilon=1e-6, max_iters=600)
         trace = result.trace
         assert trace[0][0] == 0
-        # Best-so-far column is non-increasing by construction; the raw
-        # running-average column may not regress beyond the slack either.
-        for (_, raw0, best0), (_, raw1, best1) in zip(trace, trace[1:]):
+        # Best-so-far column is non-increasing by construction, and the
+        # lower bound never exceeds it.
+        for (_, _, best0), (_, _, best1) in zip(trace, trace[1:]):
             assert best1 <= best0 + 1e-15
-            assert raw1 <= raw0 + 1e-6
+        for _, lower, best in trace:
+            assert lower <= best
 
     def test_result_strategy_matches_reported_exploitability(self):
         result = fictitious_play(CFG, bins=16, epsilon=1e-4, max_iters=800)
@@ -387,21 +371,21 @@ class TestFictitiousPlay:
                     16,
                     "0.0009354260677836117",
                     "386b361ed23af58e79b37d9508626d80c74bf67d90f6f2e77363593900362f70",
-                    "6e127e74b22ba039bc0628bd1da79ca8d8ad57033261b0c53c0c1a5636ae57d3",
+                    "2257a80fc9ab795c655d7198ace861518377c6adbbd99a0fe6b6417d35b09613",
                 ),
                 (
                     2.0,
                     29,
                     "0.0008051425313142825",
                     "9d92a1f25153311f10708ab327026e7e8c8d5d900382200906441b7f32f8055e",
-                    "678b3770c8dc97f93f1a298b3db54c43f4fd7c2290a8a1f42abe280deff2cb12",
+                    "80ec1a01cb3eb0bdc5132a0e16fae9a239bbab8ab4cee885aeb350d244911b3b",
                 ),
                 (
                     3.0,
                     51,
                     "0.0009166109252243121",
                     "dede60725170aed174752bb1af8d1abbaf31e15ba0d733e2e0d13adba6bee935",
-                    "8327f2c04963325ce31cdd96145e8587d623838a64d044d69f16248b1a36849c",
+                    "113ae79fbbc56140ec567a3844afe2d62f9107aa5ba164cb3e500933340d5c9f",
                 ),
             ]
         ],
@@ -444,9 +428,9 @@ class TestFictitiousPlay:
     @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
     def test_scale_equivariant(self, ratio):
         # Scaling both bets by 2**k scales every payoff exactly, so the
-        # search must take the same steps; near the float range's ends the
-        # Polyak step's |g|^2, and at 2**1022 the EV gap, would overflow or
-        # underflow at the true bets.
+        # search must take the same steps, and its trace must scale exactly;
+        # near the float range's ends the Polyak step's |g|^2, and at 2**1022
+        # the EV gap, would overflow or underflow at the true bets.
         base = fictitious_play(GameConfig(Fraction(ratio), 1), bins=16, epsilon=1e-4, max_iters=300)
         for k in (-1000, -700, -500, 0, 500, 700, 1000, 1021, 1022):
             scale = Fraction(2) ** k
@@ -454,11 +438,14 @@ class TestFictitiousPlay:
             result = fictitious_play(cfg, bins=16, epsilon=1e-4, max_iters=300)
             assert (k, result.iterations, result.strategy) == (k, base.iterations, base.strategy)
             assert (k, math.ldexp(result.exploitability, -k)) == (k, base.exploitability)
+            trace = [(step, math.ldexp(lower, -k), math.ldexp(best, -k))
+                     for step, lower, best in result.trace]
+            assert (k, trace) == (k, list(base.trace))
 
     def test_final_checkpoint_is_certified_once(self, monkeypatch):
-        # The start, then the average and the best iterate at steps 50 and
-        # 100; no score comes within epsilon, and the run ends on a
-        # checkpoint, which is not redone.
+        # The best iterate at the start and at steps 50 and 100; no score
+        # comes within epsilon, and the run ends on a checkpoint, which is
+        # not redone.
         respond = solver._binned_response
         calls = []
 
@@ -469,16 +456,15 @@ class TestFictitiousPlay:
         monkeypatch.setattr(solver, "_binned_response", counting_response)
         result = fictitious_play(CFG, bins=16, epsilon=1e-15, max_iters=100)
         assert not result.converged
-        assert len(calls) == 5
+        assert len(calls) == 3
         assert [step for step, _, _ in result.trace] == [0, 50, 100]
 
     @pytest.mark.parametrize("bins", [2, 8, 16])
     def test_every_certified_iterate_matches_the_public_certificate(self, monkeypatch, bins):
-        # The best iterate and the trace's average are certified by
-        # _binned_response; each value must be the public exploitability.
-        # The three iterates of every step are scored in closed form at the
-        # unit bets; each score must lie within the rounding bound of the
-        # exact oracle.
+        # The best iterate is certified by _binned_response; each value must
+        # be the public exploitability. The two iterates of every step are
+        # scored in closed form at the unit bets; each score must lie within
+        # the rounding bound of the exact oracle.
         respond, score = solver._binned_response, solver._scores
         certified, scored = [], []
 
@@ -495,8 +481,8 @@ class TestFictitiousPlay:
         monkeypatch.setattr(solver, "_binned_response", recording_response)
         monkeypatch.setattr(solver, "_scores", recording_scores)
         result = fictitious_play(CFG, bins=bins, epsilon=1e-6, max_iters=300)
-        # The start and each step score the three curves in one call.
-        assert len(scored) == 3 * (1 + result.iterations)
+        # The start and each step score the two curves in one call.
+        assert len(scored) == 2 * (1 + result.iterations)
         interior = tuple(np.linspace(0.0, 1.0, bins + 1)[1:-1].tolist())
         for h, value in certified:
             assert exploitability(CFG, Strategy(interior, tuple(h.tolist()))) == value
@@ -520,18 +506,20 @@ class TestFictitiousPlay:
         ("ratio", "upper", "lower"),
         [
             pytest.param(1.5, 0.040450849718747475, 0.04042, id="1.5"),
-            pytest.param(3.0, 0.0793484972340269, 0.07812, id="3.0"),
+            pytest.param(3.0, 0.0781251, 0.07812, id="3.0"),
         ],
     )
     def test_unreachable_two_bin_runs_keep_their_values(self, ratio, upper, lower):
         # No 2-bin curve reaches 1e-6 at these ratios: the best 2-bin values
         # are 0.0404508 and 0.078125, with the LP lower bounds 0.04042 and
         # 0.07812 (ROADMAP item 4). The box-constrained step overshoots a
-        # target of 0 that lies this far below the optimum, so the plain
-        # Polyak sequence must still be there to reach these values.
+        # target of 0 that lies this far below the optimum, so the CFR-BR
+        # sequence must reach these values; its lower bound must lie between
+        # the LP bound and the returned value.
         result = fictitious_play(GameConfig(Fraction(ratio), 1), bins=2, epsilon=1e-6)
         assert not result.converged
         assert lower <= result.exploitability <= upper
+        assert lower <= result.trace[-1][1] <= result.exploitability
 
     def test_zero_min_norm_step_leaves_the_curve(self):
         # At ratio 1.3 and 2 bins the gradient at always-High is negative in

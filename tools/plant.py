@@ -170,6 +170,22 @@ DEFECTS = (
         " not of its last",
     ),
     Defect(
+        "lower-bound-unweighted",
+        "src/bluffsolve/solver.py",
+        "slope_sum = slope_sum + t * g",
+        "slope_sum = slope_sum + g",
+        "the lower bound's slopes G sum the response gradients without their weights t,"
+        " so C, G and W no longer describe one averaged plane",
+    ),
+    Defect(
+        "cfr-br-signal-flipped",
+        "src/bluffsolve/solver.py",
+        "gap = -scores.gradient[0]",
+        "gap = scores.gradient[0]",
+        "CFR-BR's regrets take the gain of High against the response for its loss,"
+        " so w moves away from the response's weak bins",
+    ),
+    Defect(
         "solver-bins-unchecked",
         "src/bluffsolve/solver.py",
         "if bins < 2:",
