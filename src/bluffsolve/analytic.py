@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ArgumentError, GameConfig
-from .strategy import Strategy, a_type, b_type, m_deterministic, probabilities_on, refine
+from .strategy import Strategy, _is_vector, a_type, b_type, m_deterministic, refine
 
 #: Row/column order of the strategy-type payoff table.
 TAXONOMY_KEYS = ("a", "b", "m")
@@ -47,15 +47,61 @@ class PayoffValue:
     ll: float
 
 
-@dataclass(frozen=True)
 class PiecewiseLinear:
-    """Continuous piecewise-linear function on [0, 1], stored by knot values."""
+    """Continuous piecewise-linear function on [0, 1], stored by knot values.
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
+    Its fields are the tuples ``knots`` and ``values``. Built from 1-D float64
+    arrays, it keeps read-only copies for ``np.interp`` and makes the tuples
+    when they are first read, as a ``Strategy`` does.
+    """
+
+    __slots__ = ("_fields", "_arrays", "__weakref__")
+
+    def __init__(self, knots, values) -> None:
+        self._fields = self._arrays = None
+        if _is_vector(knots) and _is_vector(values):
+            knots, values = knots.copy(), values.copy()
+            knots.setflags(write=False)
+            values.setflags(write=False)
+            self._arrays = knots, values
+        else:
+            self._fields = tuple(knots), tuple(values)
+
+    def _tuples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        if self._fields is None:
+            self._fields = tuple(tuple(x.tolist()) for x in self._arrays)
+        return self._fields
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        return self._tuples()[0]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self._tuples()[1]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tuples() == other._tuples()
+
+    def __hash__(self) -> int:
+        return hash(self._tuples())
+
+    def __repr__(self) -> str:
+        return f"PiecewiseLinear(knots={self.knots!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return type(self), self._tuples()
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(knots, values) as float64 arrays: the kept read-only ones, or new ones."""
+        if self._arrays is None:
+            return np.array(self._fields[0], dtype=float), np.array(self._fields[1], dtype=float)
+        return self._arrays
 
     def __call__(self, v):
-        return np.interp(v, self.knots, self.values)
+        return np.interp(v, *self.arrays())
 
 
 @dataclass(frozen=True)
@@ -83,20 +129,20 @@ class EquilibriumPoint:
 
 def _common_grid(s1: Strategy, s2: Strategy):
     r1, r2 = refine(s1, s2)
-    knots = np.array((0.0, *r1.breakpoints, 1.0))
-    return knots[1:] - knots[:-1], np.array(r1.high_prob), np.array(r2.high_prob)
+    (knots, h1), (_, h2) = r1.arrays(), r2.arrays()
+    return knots[1:] - knots[:-1], h1, h2
 
 
 def _sign_weighted_sum(x: np.ndarray, y: np.ndarray, y_total):
-    # sum_{i,j} x_i y_j sgn(i - j): pair each piece with the weight strictly
-    # below minus the weight strictly above it; ``y_total`` is the sum of y.
-    # The integer zero keeps an object array of Fractions exact and gives 0.0
-    # in a float array.
-    below = np.add.accumulate(y)
-    below[1:] = below[:-1]
-    below[0] = 0
-    above = y_total - below - y
-    return np.add.reduce(x * (below - above))
+    # sum_{i,j} x_i y_j sgn(i - j) along the last axis: pair each piece with
+    # the weight strictly below minus the weight strictly above it;
+    # ``y_total`` is the sum of y along that axis. The integer zero keeps an
+    # object array of Fractions exact and gives 0.0 in a float array.
+    below = np.add.accumulate(y, -1)
+    below[..., 1:] = below[..., :-1]
+    below[..., 0] = 0
+    above = np.asarray(y_total)[..., None] - below - y
+    return np.add.reduce(x * (below - above), -1)
 
 
 def _payoff_terms(
@@ -107,16 +153,20 @@ def _payoff_terms(
     Piece lengths (floats) give the continuous deck's expected payoff; card
     counts with Fraction bets and curves (object arrays) give a discrete
     deck's exact payoff summed over card pairs, in Fractions.
+
+    The pieces run along the last axis. ``h1`` and ``h2`` may be stacks of
+    curves in their other axes, which broadcast; then each field holds the
+    nested list of the pairs' figures. Every sum runs along the last axis, so
+    each pair gets the bits of a call on that pair alone.
     """
     w1h, w1l = weights * h1, weights * (1 - h1)
     w2h, w2l = weights * h2, weights * (1 - h2)
-    total2h, total2l = np.add.reduce(w2h), np.add.reduce(w2l)
+    total2h, total2l = np.add.reduce(w2h, -1), np.add.reduce(w2l, -1)
     hh = a * _sign_weighted_sum(w1h, w2h, total2h)
-    hl = b * np.add.reduce(w1h) * total2l
-    lh = -b * np.add.reduce(w1l) * total2h
+    hl = b * np.add.reduce(w1h, -1) * total2l
+    lh = -b * np.add.reduce(w1l, -1) * total2h
     ll = b * _sign_weighted_sum(w1l, w2l, total2l)
-    hh, hl, lh, ll = np.array((hh, hl, lh, ll)).tolist()
-    return PayoffValue(value=hh + hl + lh + ll, hh=hh, hl=hl, lh=lh, ll=ll)
+    return PayoffValue(*np.array((hh + hl + lh + ll, hh, hl, lh, ll)).tolist())
 
 
 def expected_payoff(cfg: GameConfig, s1: Strategy, s2: Strategy) -> PayoffValue:
@@ -132,15 +182,14 @@ def _ev_arrays(
 
     The knots run from 0 to 1, and ``lengths`` are their differences.
     """
-    mass_high = lengths * h
-    mass_low = lengths * (1.0 - h)
-    total_high = float(np.add.reduce(mass_high))
-    total_low = float(np.add.reduce(mass_low))
-    # Cumulative opponent mass strictly below each knot.
-    below_high = np.concatenate(([0.0], np.add.accumulate(mass_high)))
-    below_low = np.concatenate(([0.0], np.add.accumulate(mass_low)))
-    ev_high = b * total_low + a * (2.0 * below_high - total_high)
-    ev_low = -b * total_high + b * (2.0 * below_low - total_low)
+    # Row 0 is the opponent's High mass, row 1 its Low mass, and ``below``
+    # their cumulative masses strictly below each knot.
+    masses = lengths * np.array((h, 1.0 - h))
+    total_high, total_low = np.add.reduce(masses, -1).tolist()
+    below = np.zeros((2, masses.shape[-1] + 1))
+    np.add.accumulate(masses, -1, out=below[:, 1:])
+    ev_high = b * total_low + a * (2.0 * below[0] - total_high)
+    ev_low = -b * total_high + b * (2.0 * below[1] - total_low)
     return ev_high, ev_low
 
 
@@ -156,13 +205,11 @@ def conditional_evs(cfg: GameConfig, opponent: Strategy) -> ConditionalEV:
     h, their difference has slope 2a h - 2b (1-h).
     """
     _require_continuous(cfg)
-    knots = np.array((0.0, *opponent.breakpoints, 1.0))
+    knots, h = opponent.arrays()
     a, b = float(cfg.high_bet), float(cfg.low_bet)
-    ev_high, ev_low = _ev_arrays(a, b, knots[1:] - knots[:-1], np.array(opponent.high_prob))
-    knots_t = tuple(knots.tolist())
+    ev_high, ev_low = _ev_arrays(a, b, knots[1:] - knots[:-1], h)
     return ConditionalEV(
-        ev_high=PiecewiseLinear(knots_t, tuple(ev_high.tolist())),
-        ev_low=PiecewiseLinear(knots_t, tuple(ev_low.tolist())),
+        ev_high=PiecewiseLinear(knots, ev_high), ev_low=PiecewiseLinear(knots, ev_low)
     )
 
 
@@ -189,15 +236,14 @@ def taxonomy_table(cfg: GameConfig) -> dict[str, dict[str, PayoffValue]]:
     """
     _require_continuous(cfg)
     # Every type is constant on both halves of [0, 1], so the nine pairs share
-    # one grid and no pair needs refine. The weights are dyadic, and each
-    # term rounds exactly as on the pair's own merged grid.
-    grid = np.array((0.5,))
-    curves = {
-        key: probabilities_on(s.breakpoints, s.high_prob, grid)
-        for key, s in zip(TAXONOMY_KEYS, (a_type(), b_type(), m_deterministic(0.5)))
-    }
+    # one grid, need no refine and take one kernel call, the rows' curves
+    # against the columns'. The weights are dyadic, and each term rounds
+    # exactly as on the pair's own merged grid.
+    types = (a_type(), b_type(), m_deterministic(0.5))
+    curves = np.array([(s.high_probability(0.0), s.high_probability(0.5)) for s in types])
     a, b, halves = float(cfg.high_bet), float(cfg.low_bet), np.array((0.5, 0.5))
+    table = vars(_payoff_terms(a, b, halves, curves[:, None], curves)).values()
     return {
-        row: {col: _payoff_terms(a, b, halves, curves[row], curves[col]) for col in TAXONOMY_KEYS}
-        for row in TAXONOMY_KEYS
+        row: {col: PayoffValue(*pair) for col, pair in zip(TAXONOMY_KEYS, zip(*cells))}
+        for row, cells in zip(TAXONOMY_KEYS, zip(*table))
     }

@@ -36,9 +36,17 @@ class UsageError(Exception):
     """Bad command line: unknown spec, conflicting flags, invalid config."""
 
 
-#: Compact JSON. A result dataclass serialises as its fields in declaration
-#: order: ``vars`` reads them without the deep copy ``dataclasses.asdict`` makes.
-_json = json.JSONEncoder(separators=(",", ":"), default=vars).encode
+def _json_default(obj) -> dict:
+    """A result dataclass's fields in declaration order, or a strategy's.
+
+    ``vars`` reads a dataclass's fields without the deep copy
+    ``dataclasses.asdict`` makes; a ``Strategy`` keeps its fields in slots.
+    """
+    return obj.to_dict() if isinstance(obj, Strategy) else vars(obj)
+
+
+#: Compact JSON.
+_json = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
 
 
 def parse_strategy_spec(text: str) -> Strategy:
@@ -394,7 +402,7 @@ _COMMANDS = {
     "evs": ("conditional EV of each bet vs a fixed opponent, on a grid", _cmd_evs),
     "best-response": ("exact best response vs a fixed opponent", _cmd_best_response),
     "exploit": ("exploitability (best-response value) of a strategy", _cmd_exploit),
-    "solve": ("PRM+ and Polyak-step equilibrium search over binned strategies", _cmd_solve),
+    "solve": ("CFR-BR and Polyak-step equilibrium search over binned strategies", _cmd_solve),
     "sweep": ("closed form plus solver verification across bet ratios", _cmd_sweep),
     "simulate": ("seeded Monte Carlo estimate of the expected payoff", _cmd_simulate),
     "brute-force": ("exact expected payoff for a discrete deck", _cmd_brute_force),

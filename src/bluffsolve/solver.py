@@ -176,9 +176,9 @@ def best_response(cfg: GameConfig, opponent: Strategy) -> BestResponse:
     """Exact pure best response against a fixed opponent (ties bet High)."""
     evs = conditional_evs(cfg, opponent)
     k = _unit_bets(float(cfg.high_bet), float(cfg.low_bet))[0]
-    d = np.ldexp(evs.ev_high.values, -k) - np.ldexp(evs.ev_low.values, -k)
-    breakpoints, high = _action_rule(np.asarray(evs.ev_high.knots), d)
-    rule = Strategy(breakpoints=tuple(breakpoints.tolist()), high_prob=tuple(high.tolist()))
+    (knots, ev_high), (_, ev_low) = evs.ev_high.arrays(), evs.ev_low.arrays()
+    breakpoints, high = _action_rule(knots, np.ldexp(ev_high, -k) - np.ldexp(ev_low, -k))
+    rule = Strategy(breakpoints=breakpoints, high_prob=high)
     value = expected_payoff(cfg, rule, opponent).value
     return BestResponse(action_rule=rule, value=value)
 
@@ -394,9 +394,7 @@ def fictitious_play(
     if trace[-1][0] != iterations:
         trace.append((iterations, lower_bound(), certify_best()))
     return EquilibriumResult(
-        strategy=Strategy(
-            breakpoints=tuple(edges[1:-1].tolist()), high_prob=tuple(best_h.tolist())
-        ),
+        strategy=Strategy(breakpoints=edges[1:-1], high_prob=best_h),
         exploitability=certify_best(),
         iterations=iterations,
         bin_count=bins,

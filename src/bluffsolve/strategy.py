@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -29,16 +28,86 @@ class StrategyError(ValueError):
 
 _INT_FLOAT = frozenset((int, float))
 
+_FLOAT64 = np.dtype(np.float64)
 
-@dataclass(frozen=True)
+#: The knots' two ends, read-only.
+_ZERO, _ONE = np.zeros(1), np.ones(1)
+_ZERO.setflags(write=False)
+_ONE.setflags(write=False)
+
+
 class Strategy:
-    breakpoints: tuple[float, ...]
-    high_prob: tuple[float, ...]
+    """An immutable piecewise-constant High curve (see the module docstring).
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
-        object.__setattr__(self, "high_prob", tuple(map(float, self.high_prob)))
-        _validate(self.breakpoints, self.high_prob)
+    Its fields are the tuples ``breakpoints`` and ``high_prob``; two
+    strategies are equal, and hash alike, when their tuples are equal.
+
+    Built from two 1-D float64 arrays, a strategy checks them with a few array
+    comparisons and keeps read-only copies, which the kernels read through
+    ``arrays``; it makes the tuples when they are first read. Built from
+    anything else, it checks and keeps the tuples only, and ``arrays`` makes
+    new arrays from them at each call.
+    """
+
+    __slots__ = ("_fields", "_arrays", "__weakref__")
+
+    def __init__(self, breakpoints, high_prob) -> None:
+        self._fields = self._arrays = None
+        if _is_vector(breakpoints) and _is_vector(high_prob):
+            knots = np.concatenate((_ZERO, breakpoints, _ONE))
+            high = high_prob.copy()
+            # Every comparison with NaN is false, so a NaN fails a check.
+            if not (
+                len(high) == len(knots) - 1
+                and np.count_nonzero(knots[1:] > knots[:-1]) == len(high)
+                and 0.0 <= np.minimum.reduce(high)
+                and np.maximum.reduce(high) <= 1.0
+            ):
+                _validate(tuple(breakpoints.tolist()), tuple(high.tolist()))
+            knots.setflags(write=False)
+            high.setflags(write=False)
+            self._arrays = knots, high
+        else:
+            self._fields = tuple(map(float, breakpoints)), tuple(map(float, high_prob))
+            _validate(*self._fields)
+
+    def _tuples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        if self._fields is None:
+            knots, high = self._arrays
+            self._fields = tuple(knots[1:-1].tolist()), tuple(high.tolist())
+        return self._fields
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return self._tuples()[0]
+
+    @property
+    def high_prob(self) -> tuple[float, ...]:
+        return self._tuples()[1]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tuples() == other._tuples()
+
+    def __hash__(self) -> int:
+        return hash(self._tuples())
+
+    def __repr__(self) -> str:
+        return f"Strategy(breakpoints={self.breakpoints!r}, high_prob={self.high_prob!r})"
+
+    def __reduce__(self):
+        return type(self), self._tuples()
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(knots, high_prob) as float64 arrays, with knots (0, *breakpoints, 1).
+
+        The kept read-only arrays of an array-built strategy, or new ones.
+        """
+        if self._arrays is None:
+            breakpoints, high_prob = self._fields
+            return np.array((0.0, *breakpoints, 1.0)), np.array(high_prob)
+        return self._arrays
 
     def high_probability(self, v: float) -> float:
         """Probability of betting High with card value ``v``."""
@@ -73,7 +142,10 @@ class Strategy:
                     if not isinstance(v, float) and type(v) is not int:
                         raise StrategyError(f"{key}[{i}]={v!r} is not a number")
         try:
-            return cls(breakpoints=data["breakpoints"], high_prob=data["high_prob"])
+            return cls(
+                breakpoints=np.array(data["breakpoints"], dtype=float),
+                high_prob=np.array(data["high_prob"], dtype=float),
+            )
         except OverflowError as exc:
             raise StrategyError(f"a number is beyond the float range: {exc}") from exc
 
@@ -90,6 +162,10 @@ class Strategy:
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
         return cls.from_dict(data)
+
+
+def _is_vector(x: Any) -> bool:
+    return type(x) is np.ndarray and x.dtype == _FLOAT64 and x.ndim == 1
 
 
 def _validate(breakpoints: tuple[float, ...], high_prob: tuple[float, ...]) -> None:
@@ -177,13 +253,13 @@ def refine(s1: Strategy, s2: Strategy) -> tuple[Strategy, Strategy]:
     and share an identical breakpoint list, which makes pairwise integration
     a walk over a common grid.
     """
-    merged = merge_breakpoints(s1.breakpoints, s2.breakpoints)
-    breakpoints = tuple(merged.tolist())
-
-    def expand(s: Strategy) -> Strategy:
-        return Strategy(
-            breakpoints=breakpoints,
-            high_prob=tuple(probabilities_on(s.breakpoints, s.high_prob, merged).tolist()),
-        )
-
-    return expand(s1), expand(s2)
+    (k1, h1), (k2, h2) = s1.arrays(), s2.arrays()
+    # Both knot lists hold 0 and 1. A piece of the merged grid starts at a
+    # knot below 1, and a right-sided search of it in a curve's breakpoints
+    # and 1 finds the curve's piece there, as ``probabilities_on`` does.
+    knots = merge_breakpoints(k1, k2)
+    breakpoints, starts = knots[1:-1], knots[:-1]
+    return (
+        Strategy(breakpoints=breakpoints, high_prob=h1[k1[1:].searchsorted(starts, side="right")]),
+        Strategy(breakpoints=breakpoints, high_prob=h2[k2[1:].searchsorted(starts, side="right")]),
+    )

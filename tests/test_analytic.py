@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bluffsolve.analytic import (
+    PiecewiseLinear,
     _payoff_terms,
     closed_form_equilibrium,
     conditional_evs,
@@ -211,6 +212,20 @@ class TestConditionalEVs:
             for (lo, hi), slope in zip(zip(knots[:-1], knots[1:]), d_slopes):
                 h = opp.high_probability((lo + hi) / 2)
                 assert slope == pytest.approx(2 * 2.0 * h - 2 * 1.0 * (1 - h), abs=1e-9)
+
+
+class TestPiecewiseLinear:
+    def test_arrays_and_tuples_give_the_same_function(self):
+        knots, values = np.array([0.0, 0.25, 1.0]), np.array([1.0, -0.5, 2.0])
+        a = PiecewiseLinear(knots, values)
+        t = PiecewiseLinear((0.0, 0.25, 1.0), (1.0, -0.5, 2.0))
+        knots[1] = values[1] = 0.5
+        assert a == t and hash(a) == hash(t) and repr(a) == repr(t)
+        grid = np.linspace(0.0, 1.0, 9)
+        assert a(grid).tolist() == t(grid).tolist()
+        for x in a.arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                x[1] = 0.0
 
 
 class TestIndifferenceSolver:

@@ -14,7 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluffsolve import solver
-from bluffsolve.analytic import _ev_arrays, closed_form_equilibrium, expected_payoff
+from bluffsolve.analytic import (
+    _ev_arrays,
+    closed_form_equilibrium,
+    conditional_evs,
+    expected_payoff,
+)
 from bluffsolve.engine import ConfigError, GameConfig
 from bluffsolve.montecarlo import simulate
 from bluffsolve.solver import best_response, exploitability, fictitious_play, ratio_sweep
@@ -79,6 +84,18 @@ class TestBestResponse:
         # and betting Low there would earn the same value.
         result = best_response(GameConfig(3, 1), Strategy((0.5, 0.75), (0.25, 0.5, 1.0)))
         assert (result.action_rule, result.value) == (a_type(), 0.03125)
+
+    def test_roots_rounded_onto_a_knot_add_no_cut(self):
+        # The exact EV gap touches 0 at the knot 11/16, from above on both
+        # sides; rounding leaves it at -2**-54 there. The roots of both
+        # crossings round onto the knot, so they add no cut and the rule bets
+        # High throughout. Kept, they would cut at the knot twice.
+        opponent = Strategy((0.6875, 0.9375), (0.0, 0.75, 1 / 3))
+        evs = conditional_evs(CFG, opponent)
+        assert evs.ev_high(0.6875) - evs.ev_low(0.6875) == -(2.0**-54)
+        result = best_response(CFG, opponent)
+        assert result.action_rule == a_type()
+        assert result.value == expected_payoff(CFG, a_type(), opponent).value
 
     def test_unit_bets_lower_k_for_a_tiny_high_mass(self):
         # The curve's High mass is about b / 2**frexp(a)[1]; the EV gap keeps

@@ -1,6 +1,8 @@
 """Strategy curves: lookup, refinement, serialization."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,12 +111,45 @@ def curve_fields(draw):
 def test_validation_follows_the_element_rule(fields):
     breakpoints, high_prob = fields
     message = first_offence(breakpoints, high_prob)
-    if message is None:
-        assert Strategy(breakpoints, high_prob).breakpoints == breakpoints
-    else:
-        with pytest.raises(StrategyError) as excinfo:
-            Strategy(breakpoints, high_prob)
-        assert str(excinfo.value) == message
+    # Tuples take the element checks, float64 arrays the array checks.
+    for args in (fields, tuple(np.array(x, dtype=np.float64) for x in fields)):
+        if message is None:
+            s = Strategy(*args)
+            assert (s.breakpoints, s.high_prob) == (breakpoints, high_prob)
+        else:
+            with pytest.raises(StrategyError) as excinfo:
+                Strategy(*args)
+            assert str(excinfo.value) == message
+
+
+def test_integer_arrays_give_float_fields():
+    s = Strategy(np.array([], dtype=np.int64), np.array([1], dtype=np.int64))
+    assert s == a_type() and type(s.high_prob[0]) is float
+    s = Strategy(np.array([0.5]), np.array([0, 1], dtype=np.int64))
+    assert s == m_deterministic(0.5) and list(map(type, s.high_prob)) == [float, float]
+
+
+def test_array_strategy_keeps_read_only_copies():
+    breakpoints, high_prob = np.array([0.25, 0.5]), np.array([0.0, 0.5, 1.0])
+    s = Strategy(breakpoints, high_prob)
+    breakpoints[0] = high_prob[0] = 0.125
+    knots, high = s.arrays()
+    assert knots.tolist() == [0.0, 0.25, 0.5, 1.0] and high.tolist() == [0.0, 0.5, 1.0]
+    assert (s.breakpoints, s.high_prob) == ((0.25, 0.5), (0.0, 0.5, 1.0))
+    for x in (knots, high):
+        with pytest.raises(ValueError, match="read-only"):
+            x[1] = 0.375
+
+
+def test_array_and_tuple_strategies_are_interchangeable():
+    t = Strategy((0.25,), (0.5, 1.0))
+    a = Strategy(np.array([0.25]), np.array([0.5, 1.0]))
+    assert a == t and hash(a) == hash(t) and repr(a) == repr(t) and a.to_json() == t.to_json()
+    assert [x.tolist() for x in a.arrays()] == [x.tolist() for x in t.arrays()]
+    for s in (a, t):
+        assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+    with pytest.raises(AttributeError):
+        a.breakpoints = (0.5,)
 
 
 def test_mean_high_probability():

@@ -128,8 +128,8 @@ DEFECTS = (
     Defect(
         "payoff-swapped-sum",
         "src/bluffsolve/analytic.py",
-        "lh = -b * np.add.reduce(w1l) * total2h",
-        "lh = -b * np.add.reduce(w1h) * total2l",
+        "lh = -b * np.add.reduce(w1l, -1) * total2h",
+        "lh = -b * np.add.reduce(w1h, -1) * total2l",
         "the Low-against-High regime sums the other player's masses",
     ),
     Defect(
@@ -140,17 +140,24 @@ DEFECTS = (
         "a NaN probability passes the fast validation pass",
     ),
     Defect(
+        "array-check-drops-order",
+        "src/bluffsolve/strategy.py",
+        "np.count_nonzero(knots[1:] > knots[:-1])",
+        "np.count_nonzero(knots[1:] >= knots[:-1])",
+        "the array check of a strategy lets equal breakpoints, or one at 0 or 1, through",
+    ),
+    Defect(
         "kernel-bias",
         "src/bluffsolve/analytic.py",
-        "return np.add.reduce(x * (below - above))",
-        "return np.add.reduce(x * (below - above)) + 1e-9",
+        "return np.add.reduce(x * (below - above), -1)",
+        "return np.add.reduce(x * (below - above), -1) + 1e-9",
         "every sign-weighted payoff sum is off by 1e-9",
     ),
     Defect(
         "ev-high-reordered",
         "src/bluffsolve/analytic.py",
-        "ev_high = b * total_low + a * (2.0 * below_high - total_high)",
-        "ev_high = b * total_low + 2.0 * a * below_high - a * total_high",
+        "ev_high = b * total_low + a * (2.0 * below[0] - total_high)",
+        "ev_high = b * total_low + 2.0 * a * below[0] - a * total_high",
         "ev_high rounds in another order, in the solver's certificates and the public path"
         " alike; the pinned evs stdout at 2e-300 / 1e-300 sees the moved last bits",
     ),
