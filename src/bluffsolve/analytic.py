@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ArgumentError, GameConfig
-from .strategy import Strategy, _is_vector, a_type, b_type, m_deterministic, refine
+from .strategy import Strategy, _Curve, a_type, b_type, m_deterministic, refine
 
 #: Row/column order of the strategy-type payoff table.
 TAXONOMY_KEYS = ("a", "b", "m")
@@ -47,30 +47,23 @@ class PayoffValue:
     ll: float
 
 
-class PiecewiseLinear:
+class PiecewiseLinear(_Curve):
     """Continuous piecewise-linear function on [0, 1], stored by knot values.
 
-    Its fields are the tuples ``knots`` and ``values``. Built from 1-D float64
-    arrays, it keeps read-only copies for ``np.interp`` and makes the tuples
-    when they are first read, as a ``Strategy`` does.
+    Its fields are the tuples ``knots`` and ``values``. It keeps read-only
+    float64 copies of what it is given, for ``np.interp``, and makes the
+    tuples when they are first read.
     """
 
-    __slots__ = ("_fields", "_arrays", "__weakref__")
+    __slots__ = ()
+
+    _NAMES = ("knots", "values")
 
     def __init__(self, knots, values) -> None:
-        self._fields = self._arrays = None
-        if _is_vector(knots) and _is_vector(values):
-            knots, values = knots.copy(), values.copy()
-            knots.setflags(write=False)
-            values.setflags(write=False)
-            self._arrays = knots, values
-        else:
-            self._fields = tuple(knots), tuple(values)
-
-    def _tuples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        if self._fields is None:
-            self._fields = tuple(tuple(x.tolist()) for x in self._arrays)
-        return self._fields
+        self._fields = None
+        self._arrays = np.array(knots, dtype=float), np.array(values, dtype=float)
+        for x in self._arrays:
+            x.setflags(write=False)
 
     @property
     def knots(self) -> tuple[float, ...]:
@@ -80,28 +73,8 @@ class PiecewiseLinear:
     def values(self) -> tuple[float, ...]:
         return self._tuples()[1]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._tuples() == other._tuples()
-
-    def __hash__(self) -> int:
-        return hash(self._tuples())
-
-    def __repr__(self) -> str:
-        return f"PiecewiseLinear(knots={self.knots!r}, values={self.values!r})"
-
-    def __reduce__(self):
-        return type(self), self._tuples()
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(knots, values) as float64 arrays: the kept read-only ones, or new ones."""
-        if self._arrays is None:
-            return np.array(self._fields[0], dtype=float), np.array(self._fields[1], dtype=float)
-        return self._arrays
-
     def __call__(self, v):
-        return np.interp(v, *self.arrays())
+        return np.interp(v, *self._arrays)
 
 
 @dataclass(frozen=True)

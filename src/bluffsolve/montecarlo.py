@@ -301,13 +301,14 @@ def brute_force_discrete(cfg: GameConfig, s1: Strategy, s2: Strategy) -> ExactDi
     m = cfg.deck_size
     if m is None:
         raise ArgumentError("deck", "needs a discrete deck")
-    grid = merge_breakpoints(s1.breakpoints, s2.breakpoints)
+    (k1, h1), (k2, h2) = s1.arrays(), s2.arrays()
+    knots = merge_breakpoints(k1, k2)
     # Card i, the exact rational i/(M-1), lies below the cut c when i < c (M-1).
-    below = [math.ceil(Fraction(c) * (m - 1)) for c in grid.tolist()]
+    below = [math.ceil(Fraction(c) * (m - 1)) for c in knots[1:-1].tolist()]
     counts = np.diff(np.array([0, *below, m], dtype=object))
     p1, p2 = (
-        np.array([Fraction(p) for p in probabilities_on(s.breakpoints, s.high_prob, grid).tolist()])
-        for s in (s1, s2)
+        np.array([Fraction(p) for p in probabilities_on(k[1:], h, knots[:-1]).tolist()])
+        for k, h in ((k1, h1), (k2, h2))
     )
     settled_sum = _payoff_terms(cfg.high_bet, cfg.low_bet, counts, p1, p2).value
     pairs = Fraction(m * m)

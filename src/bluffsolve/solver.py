@@ -92,7 +92,7 @@ from .analytic import (
     expected_payoff,
 )
 from .engine import ArgumentError, GameConfig
-from .strategy import Strategy, merge_breakpoints
+from .strategy import Strategy, merge_breakpoints, probabilities_on
 
 #: A 0/1 action rule as arrays: breakpoints, and the High value per piece.
 _Rule = tuple[np.ndarray, np.ndarray]
@@ -206,12 +206,9 @@ def _binned_response(a: float, b: float, edges: np.ndarray, h: np.ndarray) -> _R
     breakpoints, high = _action_rule(edges, ev_high - ev_low)
     interior = edges[1:-1]
     knots = np.concatenate(([0.0], merge_breakpoints(breakpoints, interior), [1.0]))
-    # Each curve plays on a piece what a right-sided search finds at the
-    # piece's start, as in probabilities_on.
     starts = knots[:-1]
-    curve = high[breakpoints.searchsorted(starts, side="right")]
-    lengths = knots[1:] - starts
-    payoff = _payoff_terms(a, b, lengths, curve, h[interior.searchsorted(starts, side="right")])
+    curve = probabilities_on(breakpoints, high, starts)
+    payoff = _payoff_terms(a, b, knots[1:] - starts, curve, probabilities_on(interior, h, starts))
     return _Response((breakpoints, high), payoff.value)
 
 

@@ -35,21 +35,68 @@ _ZERO, _ONE = np.zeros(1), np.ones(1)
 _ZERO.setflags(write=False)
 _ONE.setflags(write=False)
 
+_Fields = tuple[tuple[float, ...], tuple[float, ...]]
 
-class Strategy:
-    """An immutable piecewise-constant High curve (see the module docstring).
 
-    Its fields are the tuples ``breakpoints`` and ``high_prob``; two
-    strategies are equal, and hash alike, when their tuples are equal.
+class _Curve:
+    """A curve on [0, 1] given by two float sequences, as tuples or arrays.
 
-    Built from two 1-D float64 arrays, a strategy checks them with a few array
-    comparisons and keeps read-only copies, which the kernels read through
-    ``arrays``; it makes the tuples when they are first read. Built from
-    anything else, it checks and keeps the tuples only, and ``arrays`` makes
-    new arrays from them at each call.
+    The tuples are the fields: two curves of one class are equal, and hash
+    alike, when their tuples are equal. A curve that holds its float64
+    arrays makes the tuples when they are first read and keeps them; one
+    that holds tuples makes new arrays at each ``arrays`` call and keeps
+    none. A subclass names its fields in ``_NAMES``; one that keeps tuples
+    makes its arrays from them in ``_arrays_of``.
     """
 
     __slots__ = ("_fields", "_arrays", "__weakref__")
+
+    _NAMES: tuple[str, str]
+
+    @staticmethod
+    def _tuples_of(x: np.ndarray, y: np.ndarray) -> _Fields:
+        return tuple(x.tolist()), tuple(y.tolist())
+
+    def _tuples(self) -> _Fields:
+        if self._fields is None:
+            self._fields = self._tuples_of(*self._arrays)
+        return self._fields
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept read-only arrays, or new ones made from the tuples."""
+        if self._arrays is None:
+            return self._arrays_of(*self._fields)
+        return self._arrays
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tuples() == other._tuples()
+
+    def __hash__(self) -> int:
+        return hash(self._tuples())
+
+    def __repr__(self) -> str:
+        (x, y), (x_name, y_name) = self._tuples(), self._NAMES
+        return f"{type(self).__name__}({x_name}={x!r}, {y_name}={y!r})"
+
+    def __reduce__(self):
+        return type(self), self._tuples()
+
+
+class Strategy(_Curve):
+    """An immutable piecewise-constant High curve (see the module docstring).
+
+    Its fields are the tuples ``breakpoints`` and ``high_prob``, and
+    ``arrays`` gives ``(knots, high_prob)`` as float64 arrays, the knots
+    being ``(0, *breakpoints, 1)``. Built from two 1-D float64 arrays, a
+    strategy checks them with a few array comparisons and keeps read-only
+    copies. Built from anything else, it checks and keeps the tuples only.
+    """
+
+    __slots__ = ()
+
+    _NAMES = ("breakpoints", "high_prob")
 
     def __init__(self, breakpoints, high_prob) -> None:
         self._fields = self._arrays = None
@@ -71,11 +118,13 @@ class Strategy:
             self._fields = tuple(map(float, breakpoints)), tuple(map(float, high_prob))
             _validate(*self._fields)
 
-    def _tuples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        if self._fields is None:
-            knots, high = self._arrays
-            self._fields = tuple(knots[1:-1].tolist()), tuple(high.tolist())
-        return self._fields
+    @staticmethod
+    def _tuples_of(knots: np.ndarray, high: np.ndarray) -> _Fields:
+        return tuple(knots[1:-1].tolist()), tuple(high.tolist())
+
+    @staticmethod
+    def _arrays_of(breakpoints: tuple[float, ...], high_prob: tuple[float, ...]):
+        return np.array((0.0, *breakpoints, 1.0)), np.array(high_prob)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -84,30 +133,6 @@ class Strategy:
     @property
     def high_prob(self) -> tuple[float, ...]:
         return self._tuples()[1]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._tuples() == other._tuples()
-
-    def __hash__(self) -> int:
-        return hash(self._tuples())
-
-    def __repr__(self) -> str:
-        return f"Strategy(breakpoints={self.breakpoints!r}, high_prob={self.high_prob!r})"
-
-    def __reduce__(self):
-        return type(self), self._tuples()
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(knots, high_prob) as float64 arrays, with knots (0, *breakpoints, 1).
-
-        The kept read-only arrays of an array-built strategy, or new ones.
-        """
-        if self._arrays is None:
-            breakpoints, high_prob = self._fields
-            return np.array((0.0, *breakpoints, 1.0)), np.array(high_prob)
-        return self._arrays
 
     def high_probability(self, v: float) -> float:
         """Probability of betting High with card value ``v``."""
@@ -234,16 +259,16 @@ def merge_breakpoints(x, y) -> np.ndarray:
     return merged[keep]
 
 
-def probabilities_on(breakpoints, high_prob, grid: np.ndarray) -> np.ndarray:
-    """High probability of each piece of ``grid`` (a breakpoint superset).
+def probabilities_on(cuts: np.ndarray, high_prob: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """High probability of a curve on each piece of a finer grid.
 
-    Piece i of the grid starts at ``(0.0, *grid)[i]``; a right-continuous
-    curve plays there the piece found by a right-sided bisection, exactly as
-    ``Strategy.high_probability`` does.
+    ``cuts`` are the curve's breakpoints as an array, which may end with 1,
+    and the pieces start at ``starts``, each below 1. A right-continuous
+    curve plays at a piece's start the piece that a right-sided search of
+    the start in ``cuts`` finds, exactly as ``Strategy.high_probability``
+    does.
     """
-    starts = np.concatenate(([0.0], grid))
-    pieces = np.asarray(breakpoints, dtype=float).searchsorted(starts, side="right")
-    return np.asarray(high_prob, dtype=float)[pieces]
+    return high_prob[cuts.searchsorted(starts, side="right")]
 
 
 def refine(s1: Strategy, s2: Strategy) -> tuple[Strategy, Strategy]:
@@ -254,12 +279,10 @@ def refine(s1: Strategy, s2: Strategy) -> tuple[Strategy, Strategy]:
     a walk over a common grid.
     """
     (k1, h1), (k2, h2) = s1.arrays(), s2.arrays()
-    # Both knot lists hold 0 and 1. A piece of the merged grid starts at a
-    # knot below 1, and a right-sided search of it in a curve's breakpoints
-    # and 1 finds the curve's piece there, as ``probabilities_on`` does.
+    # Both knot lists hold 0 and 1, and so does the merged one.
     knots = merge_breakpoints(k1, k2)
     breakpoints, starts = knots[1:-1], knots[:-1]
     return (
-        Strategy(breakpoints=breakpoints, high_prob=h1[k1[1:].searchsorted(starts, side="right")]),
-        Strategy(breakpoints=breakpoints, high_prob=h2[k2[1:].searchsorted(starts, side="right")]),
+        Strategy(breakpoints=breakpoints, high_prob=probabilities_on(k1[1:], h1, starts)),
+        Strategy(breakpoints=breakpoints, high_prob=probabilities_on(k2[1:], h2, starts)),
     )

@@ -2,6 +2,7 @@
 equilibrium, and the strategy-type payoff table."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,7 @@ class TestPiecewiseLinear:
         t = PiecewiseLinear((0.0, 0.25, 1.0), (1.0, -0.5, 2.0))
         knots[1] = values[1] = 0.5
         assert a == t and hash(a) == hash(t) and repr(a) == repr(t)
+        assert pickle.loads(pickle.dumps(a)) == a
         grid = np.linspace(0.0, 1.0, 9)
         assert a(grid).tolist() == t(grid).tolist()
         for x in a.arrays():
